@@ -259,7 +259,11 @@ mod tests {
 
     #[test]
     fn smoke_perf_runs_and_writes_bench_files() {
-        let ctx = Ctx::for_tests(97);
+        let mut ctx = Ctx::for_tests(97);
+        // A directory of its own: this test removes it, and the other
+        // seed-97 smoke tests (incremental keeps its artifact cache there)
+        // run beside it.
+        ctx.out_dir = std::env::temp_dir().join("darkvec-xp-perf-smoke");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = perf(&ctx);
         assert!(out.contains("w2v train"));

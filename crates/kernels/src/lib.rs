@@ -41,21 +41,21 @@
 //! an intermediate rounding; lane reduction reorders sums) — the parity
 //! suite bounds that divergence at 1e-5 relative error.
 //!
-//! ## Hogwild kernels
+//! ## The fused Word2Vec kernel
 //!
-//! [`hogwild`] hosts the same primitives over rows of relaxed
-//! `AtomicU32`-encoded `f32` cells (the Word2Vec shared parameter
-//! matrices). Packed SIMD loads over atomics would be a data race in the
-//! Rust memory model, so these use the unrolled-accumulator formulation
-//! only — which is where most of the win is for latency-bound 50-dim
-//! dots anyway.
+//! [`sgns_pair_on`] runs a whole Word2Vec training pair — a `dot` and two
+//! `axpy`s per output target, then the input update — as one dispatched
+//! call, built from the same path's `dot`/`axpy` bodies so each path's
+//! bits are unchanged. It reaches the output rows through [`Rows`]: the
+//! trainer's own `f32` storage, or a snapshot of a row of its relaxed-
+//! atomic Hogwild view.
 
 // lint: relaxed-ok(FORCED/DETECTED dispatch cells are write-once feature flags; any interleaving yields a valid path and detection is idempotent)
 
-pub mod hogwild;
 mod norm;
 mod portable;
 mod scalar;
+mod sgns;
 
 #[cfg(target_arch = "aarch64")]
 mod neon;
@@ -63,6 +63,7 @@ mod neon;
 mod x86;
 
 pub use norm::NormalizedMatrix;
+pub use sgns::{Rows, Target};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -315,6 +316,45 @@ pub fn scale_add_on(path: Path, y: &mut [f32], alpha: f32, x: &[f32]) {
     )
 }
 
+/// One fused Word2Vec training pair on `path`: zeroes `neu1e`, then for
+/// every target `t` computes `f = row_t · input` and
+/// `g = gain(f, label_t)`, adds `g · row_t` to `neu1e` and `g · input` to
+/// `row_t` (publishing the row through `out`), and finally adds `neu1e`
+/// to `input`.
+///
+/// The result is bit-identical to making the same [`dot`]/[`axpy`]
+/// calls one by one on the same path; the fused form only removes the
+/// per-call dispatch.
+///
+/// # Panics
+/// Panics if `neu1e` or any row `out` hands out differs in length from
+/// `input`.
+#[inline]
+pub fn sgns_pair_on<R: Rows, G: Fn(f32, f32) -> f32>(
+    path: Path,
+    input: &mut [f32],
+    neu1e: &mut [f32],
+    targets: &[Target],
+    out: &mut R,
+    gain: G,
+) {
+    on_path!(
+        path,
+        sgns::pair(scalar::dot, scalar::axpy, input, neu1e, targets, out, gain),
+        sgns::pair(
+            portable::dot,
+            scalar::axpy,
+            input,
+            neu1e,
+            targets,
+            out,
+            gain
+        ),
+        x86::sgns_pair(input, neu1e, targets, out, gain),
+        neon::sgns_pair(input, neu1e, targets, out, gain)
+    )
+}
+
 /// Squared L2 norm `Σ a[i]²`.
 #[inline]
 pub fn squared_norm(a: &[f32]) -> f32 {
@@ -343,8 +383,8 @@ pub fn normalize_rows_on(path: Path, data: &mut [f32], dim: usize) {
     }
 }
 
-/// The shared lane-reduction used by the portable and hogwild unrolled
-/// kernels: the same pairwise tree an AVX2 horizontal sum performs, so
+/// The lane reduction of the portable unrolled kernels: the same
+/// pairwise tree an AVX2 horizontal sum performs, so
 /// per-path results do not depend on how a caller splits its input.
 #[inline]
 pub(crate) fn reduce8(l: &[f32; 8]) -> f32 {

@@ -4,8 +4,10 @@
 //! `dot` (hiding FMA latency), plain fused loops for the element-wise
 //! kernels. The dispatcher only calls in after
 //! `is_aarch64_feature_detected!("neon")`, which is the safety contract
-//! for the `target_feature` functions below.
+//! for the `target_feature` functions below. `sgns_pair` instantiates
+//! the fused Word2Vec loop ([`crate::sgns`]) in this feature context.
 
+use crate::sgns::{self, Rows, Target};
 use core::arch::aarch64::*;
 
 /// Inner product with two FMA accumulators.
@@ -16,6 +18,7 @@ use core::arch::aarch64::*;
 /// `b.len() >= a.len()`: both pointers are read at offsets `0..a.len()`.
 /// `vld1q` loads are unaligned-tolerant, so `&[f32]`'s own alignment
 /// suffices. Read-only.
+#[inline]
 #[target_feature(enable = "neon")]
 pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len();
@@ -83,6 +86,7 @@ pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 /// Caller must ensure NEON support and `x.len() >= y.len()` — both are
 /// accessed at offsets `0..y.len()`. Borrow exclusivity rules out
 /// `x`/`y` overlap; loads/stores are unaligned-tolerant.
+#[inline]
 #[target_feature(enable = "neon")]
 pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     let n = y.len();
@@ -145,4 +149,35 @@ pub unsafe fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
         *py.add(i) = alpha * *py.add(i) + *px.add(i);
         i += 1;
     }
+}
+
+/// The fused per-pair Word2Vec update ([`crate::sgns::pair`]) over this
+/// path's [`dot`] and [`axpy`].
+///
+/// # Safety
+/// Caller must ensure NEON support. The lengths `dot` and `axpy` rely
+/// on are checked by the loop itself, which panics unless `neu1e` and
+/// every row `out` hands out are as long as `input`.
+#[target_feature(enable = "neon")]
+pub unsafe fn sgns_pair<R: Rows, G: Fn(f32, f32) -> f32>(
+    input: &mut [f32],
+    neu1e: &mut [f32],
+    targets: &[Target],
+    out: &mut R,
+    gain: G,
+) {
+    sgns::pair(
+        // SAFETY: the closures inherit this fn's NEON context, whose
+        // support is the caller's contract; `pair` asserts both operands
+        // have `input`'s length before every call.
+        |a, b| unsafe { dot(a, b) },
+        // SAFETY: as above — feature support from the caller, equal
+        // lengths asserted by `pair`.
+        |alpha, x, y| unsafe { axpy(alpha, x, y) },
+        input,
+        neu1e,
+        targets,
+        out,
+        gain,
+    );
 }

@@ -11,7 +11,11 @@
 //! The horizontal sum performs the same pairwise tree as
 //! [`crate::reduce8`], keeping the reduction order a property of the path,
 //! not the caller.
+//!
+//! `sgns_pair` instantiates the fused Word2Vec loop ([`crate::sgns`])
+//! inside this feature context, so `dot` and `axpy` inline into it.
 
+use crate::sgns::{self, Rows, Target};
 use std::arch::x86_64::*;
 
 /// Pairwise tree sum of 8 lanes, matching [`crate::reduce8`].
@@ -40,6 +44,7 @@ unsafe fn hsum256(v: __m256) -> f32 {
 /// All loads are `loadu` (unaligned-tolerant), so the slices impose no
 /// alignment requirement beyond `f32`'s own, which `&[f32]` guarantees.
 /// `a` and `b` are shared borrows; nothing is written.
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len();
@@ -131,6 +136,7 @@ pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 /// `x.len() >= y.len()` — both are accessed at offsets `0..y.len()`.
 /// `x` and `y` cannot alias (`&`/`&mut` exclusivity already forbids
 /// overlap). Unaligned loads/stores throughout; no alignment contract.
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     let n = y.len();
@@ -195,4 +201,35 @@ pub unsafe fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
         *py.add(i) = alpha * *py.add(i) + *px.add(i);
         i += 1;
     }
+}
+
+/// The fused per-pair Word2Vec update ([`crate::sgns::pair`]) over this
+/// path's [`dot`] and [`axpy`].
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX2+FMA. The lengths `dot` and
+/// `axpy` rely on are checked by the loop itself, which panics unless
+/// `neu1e` and every row `out` hands out are as long as `input`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn sgns_pair<R: Rows, G: Fn(f32, f32) -> f32>(
+    input: &mut [f32],
+    neu1e: &mut [f32],
+    targets: &[Target],
+    out: &mut R,
+    gain: G,
+) {
+    sgns::pair(
+        // SAFETY: the closures inherit this fn's AVX2+FMA context, whose
+        // support is the caller's contract; `pair` asserts both operands
+        // have `input`'s length before every call.
+        |a, b| unsafe { dot(a, b) },
+        // SAFETY: as above — feature support from the caller, equal
+        // lengths asserted by `pair`.
+        |alpha, x, y| unsafe { axpy(alpha, x, y) },
+        input,
+        neu1e,
+        targets,
+        out,
+        gain,
+    );
 }

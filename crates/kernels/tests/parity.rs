@@ -4,10 +4,9 @@
 //! misaligned sub-slices (SIMD paths must not assume alignment).
 
 use darkvec_kernels::{
-    available_paths, axpy_on, dot_i8_on, dot_on, force_path, hogwild, normalize_rows_on,
-    scale_add_on, scale_on, squared_norm, Path,
+    available_paths, axpy_on, dot_i8_on, dot_on, normalize_rows_on, scale_add_on, scale_on,
+    sgns_pair_on, squared_norm, Path, Rows, Target,
 };
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Vector lengths exercising every tail case: below one lane, below one
 /// 8-wide stride, one-off-a-stride, mid-size, and a prime well past the
@@ -229,81 +228,136 @@ fn zero_rows_survive_normalization() {
     }
 }
 
-fn atomic_row(vals: &[f32]) -> Vec<AtomicU32> {
-    vals.iter().map(|v| AtomicU32::new(v.to_bits())).collect()
+/// Row-major rows updated in place — the one-thread trainer's store.
+struct Flat<'a> {
+    data: &'a mut [f32],
+    dim: usize,
 }
 
-fn plain_row(cells: &[AtomicU32]) -> Vec<f32> {
-    cells
-        .iter()
-        .map(|c| f32::from_bits(c.load(Ordering::Relaxed)))
-        .collect()
+impl Rows for Flat<'_> {
+    fn row(&mut self, t: usize) -> &mut [f32] {
+        &mut self.data[t * self.dim..(t + 1) * self.dim]
+    }
+
+    fn publish(&mut self, _t: usize) {}
 }
 
-/// The hogwild kernels read the process-global active path, so this test
-/// owns all `force_path` toggling in this binary (the slice kernels above
-/// use the explicit `_on` variants and never touch the global state).
+/// Dimensions for the fused kernel: one lane, short of / exactly / one
+/// past an 8-wide stride, two strides, the paper's 50, and one short of
+/// a 64-wide run.
+const SGNS_DIMS: &[usize] = &[1, 7, 8, 9, 16, 50, 63];
+
+/// A positive target, negatives, and a row drawn twice (as the unigram
+/// table can), so a later target reads an earlier target's update.
+const SGNS_TARGETS: &[Target] = &[
+    Target { row: 2, label: 1.0 },
+    Target { row: 0, label: 0.0 },
+    Target { row: 3, label: 0.0 },
+    Target { row: 2, label: 0.0 },
+];
+
+fn sgns_gain(f: f32, label: f32) -> f32 {
+    (label - 1.0 / (1.0 + (-f).exp())) * 0.05
+}
+
+/// Runs the fused kernel on `path` over misaligned sub-slices (`off`
+/// elements into over-allocated buffers); returns input, gradient and
+/// output rows afterwards.
+fn run_sgns(
+    path: Path,
+    input0: &[f32],
+    rows0: &[f32],
+    dim: usize,
+    off: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let mut input = input0.to_vec();
+    let mut neu1e = vec![7.0f32; dim + off];
+    let mut rows = rows0.to_vec();
+    let mut out = Flat {
+        data: &mut rows[off..],
+        dim,
+    };
+    sgns_pair_on(
+        path,
+        &mut input[off..],
+        &mut neu1e[off..],
+        SGNS_TARGETS,
+        &mut out,
+        sgns_gain,
+    );
+    (
+        input[off..].to_vec(),
+        neu1e[off..].to_vec(),
+        rows[off..].to_vec(),
+    )
+}
+
 #[test]
-fn hogwild_kernels_match_plain_kernels_on_every_path() {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            force_path(None);
-        }
-    }
-    let _restore = Restore;
-
+fn sgns_pair_matches_scalar_on_every_path() {
     let mut rng = Rng(66);
-    for path in available_paths() {
-        force_path(Some(path));
-        for &len in LENS {
-            let a = rng.vec(len);
-            let b = rng.vec(len);
-            let g = rng.f32();
-            let ra = atomic_row(&a);
-            let rb = atomic_row(&b);
-            let what = format!("hogwild len={len} {path:?}");
-
-            // load round-trips exactly.
-            let mut out = vec![0.0f32; len];
-            hogwild::load(&ra, &mut out);
-            assert_eq!(out, a, "{what}: load");
-
-            // dot against the scalar slice reference.
-            let want = dot_on(Path::Scalar, &a, &b);
-            assert_close(hogwild::dot(&ra, &b), want, &format!("{what}: dot"));
-            assert_close(
-                hogwild::dot_rows(&ra, &rb),
-                want,
-                &format!("{what}: dot_rows"),
-            );
-
-            // axpy: row += g * v.
-            let mut want_row = a.clone();
-            axpy_on(Path::Scalar, g, &b, &mut want_row);
-            hogwild::axpy(&ra, g, &b);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: axpy"));
-
-            // axpy_rows: dst += g * src (dst currently == want_row).
-            axpy_on(Path::Scalar, g, &b, &mut want_row);
-            hogwild::axpy_rows(&ra, g, &rb);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: axpy_rows"));
-
-            // add: row += buf.
-            for (w, &x) in want_row.iter_mut().zip(&b) {
-                *w += x;
+    for &dim in SGNS_DIMS {
+        for &off in OFFSETS {
+            let input0 = rng.vec(dim + off);
+            let rows0 = rng.vec(4 * dim + off);
+            let want = run_sgns(Path::Scalar, &input0, &rows0, dim, off);
+            for path in non_scalar_paths() {
+                let got = run_sgns(path, &input0, &rows0, dim, off);
+                let what = format!("sgns dim={dim} off={off} {path:?}");
+                assert_slices_close(&got.0, &want.0, &format!("{what}: input"));
+                assert_slices_close(&got.1, &want.1, &format!("{what}: neu1e"));
+                assert_slices_close(&got.2, &want.2, &format!("{what}: rows"));
             }
-            hogwild::add(&ra, &b);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: add"));
-
-            // accumulate: buf += g * row.
-            let mut got_buf = b.clone();
-            hogwild::accumulate(&mut got_buf, g, &rb);
-            let mut want_buf = b.clone();
-            axpy_on(Path::Scalar, g, &b, &mut want_buf);
-            assert_slices_close(&got_buf, &want_buf, &format!("{what}: accumulate"));
         }
     }
+}
+
+/// Fusing must not change a path's bits: the kernel equals the same
+/// `dot_on`/`axpy_on` calls made one by one on that path.
+#[test]
+fn sgns_pair_is_bit_identical_to_unfused_calls_on_every_path() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = Rng(99);
+    for &dim in SGNS_DIMS {
+        for &off in OFFSETS {
+            let input0 = rng.vec(dim + off);
+            let rows0 = rng.vec(4 * dim + off);
+            for path in available_paths() {
+                let got = run_sgns(path, &input0, &rows0, dim, off);
+                let mut input = input0[off..].to_vec();
+                let mut rows = rows0[off..].to_vec();
+                let mut neu1e = vec![0.0f32; dim];
+                for t in SGNS_TARGETS {
+                    let row = &mut rows[t.row * dim..(t.row + 1) * dim];
+                    let g = sgns_gain(dot_on(path, row, &input), t.label);
+                    axpy_on(path, g, row, &mut neu1e);
+                    axpy_on(path, g, &input, row);
+                }
+                axpy_on(path, 1.0, &neu1e, &mut input);
+                let what = format!("sgns dim={dim} off={off} {path:?}");
+                assert_eq!(bits(&got.0), bits(&input), "{what}: input");
+                assert_eq!(bits(&got.1), bits(&neu1e), "{what}: neu1e");
+                assert_eq!(bits(&got.2), bits(&rows), "{what}: rows");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "output row length mismatch")]
+fn sgns_pair_rejects_short_rows() {
+    let mut rows = vec![0.0f32; 8];
+    let mut out = Flat {
+        data: &mut rows,
+        dim: 4,
+    };
+    sgns_pair_on(
+        Path::Portable,
+        &mut [0.0; 8],
+        &mut [0.0; 8],
+        &[Target { row: 0, label: 1.0 }],
+        &mut out,
+        sgns_gain,
+    );
 }
 
 /// Each path is internally deterministic: two runs over the same input

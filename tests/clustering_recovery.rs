@@ -19,7 +19,12 @@ fn fixture() -> &'static (SimOutput, TrainedModel, Clustering) {
     static FIXTURE: OnceLock<(SimOutput, TrainedModel, Clustering)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let sim = simulate(&SimConfig::tiny(SEED));
-        let model = pipeline::run(&sim.trace, &DarkVecConfig::test_size(SEED));
+        // One trainer thread: the assertions below are about the trained
+        // geometry, and Hogwild across cores makes it depend on thread
+        // interleaving.
+        let mut cfg = DarkVecConfig::test_size(SEED);
+        cfg.w2v.threads = 1;
+        let model = pipeline::run(&sim.trace, &cfg);
         let clustering = cluster_embedding(
             &model.embedding,
             &ClusterConfig {
