@@ -25,6 +25,7 @@
 
 use crate::ann::{refine_fetch, rescore_with_f32, MatrixHandle};
 use crate::knn::Neighbor;
+use crate::par::for_each_chunk;
 use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::vectors::{dot, normalize_rows};
 use rand::rngs::SmallRng;
@@ -217,15 +218,6 @@ impl<'m> HnswIndex<'m> {
             entry: 0,
         };
 
-        let threads = if threads > 0 {
-            threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        }
-        .max(1);
-
         let mut done = 0usize;
         let mut entry: Option<u32> = None;
         while done < n {
@@ -234,23 +226,13 @@ impl<'m> HnswIndex<'m> {
             // searched over the frozen prefix [0, done).
             let mut batch: Vec<Vec<Vec<Cand>>> = vec![Vec::new(); end - done];
             if let Some(ep) = entry {
-                let chunk = batch.len().div_ceil(threads);
-                let idx_ref = &index;
-                let ctx = darkvec_obs::span::context();
-                crossbeam::scope(|scope| {
-                    for (c, out) in batch.chunks_mut(chunk).enumerate() {
-                        let base = done + c * chunk;
-                        scope.spawn(move |_| {
-                            let _worker = darkvec_obs::span!("ml.ann.build.batch", ctx);
-                            let mut scratch = Scratch::new(n);
-                            for (off, cands) in out.iter_mut().enumerate() {
-                                let node = (base + off) as u32;
-                                *cands = idx_ref.insert_candidates(node, ep, &mut scratch);
-                            }
-                        });
+                for_each_chunk(&mut batch, threads, "ml.ann.build.batch", |base, out| {
+                    let mut scratch = Scratch::new(n);
+                    for (off, cands) in out.iter_mut().enumerate() {
+                        let node = (done + base + off) as u32;
+                        *cands = index.insert_candidates(node, ep, &mut scratch);
                     }
-                })
-                .expect("hnsw build worker panicked");
+                });
             }
             // Sequential phase: commit links in index order.
             for (off, cands) in batch.into_iter().enumerate() {
@@ -339,14 +321,6 @@ impl<'m> HnswIndex<'m> {
         }
         let _span = darkvec_obs::span!("ml.ann.knn_all");
         darkvec_obs::metrics::counter("ml.ann.queries").add(n as u64);
-        let threads = if threads > 0 {
-            threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        }
-        .min(n);
         // Int8 indexes oversample for the f32 refinement pass.
         let fetch = if self.quant.is_some() {
             refine_fetch(k, n)
@@ -356,39 +330,30 @@ impl<'m> HnswIndex<'m> {
         // The beam must hold the query row itself plus `fetch` results.
         let ef = ef.max(fetch + 1);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let chunk = n.div_ceil(threads);
-        let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
-            for (c, out) in results.chunks_mut(chunk).enumerate() {
-                let base = c * chunk;
-                scope.spawn(move |_| {
-                    let _worker = darkvec_obs::span!("ml.ann.query.chunk", ctx);
-                    let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
-                    let mut scratch = Scratch::new(n);
-                    for (off, best) in out.iter_mut().enumerate() {
-                        let started = Instant::now();
-                        let row = base + off;
-                        let found = self.search_indexed(row as u32, ef, &mut scratch);
-                        let cand: Vec<Neighbor> = found
-                            .into_iter()
-                            .filter(|c| c.idx as usize != row)
-                            .take(fetch)
-                            .map(|c| Neighbor {
-                                index: c.idx as usize,
-                                similarity: c.sim,
-                            })
-                            .collect();
-                        *best = if self.quant.is_some() {
-                            rescore_with_f32(&self.normed, self.normed.row(row), cand, k)
-                        } else {
-                            cand
-                        };
-                        query_latency.record_duration(started.elapsed());
-                    }
-                });
+        for_each_chunk(&mut results, threads, "ml.ann.query.chunk", |base, out| {
+            let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
+            let mut scratch = Scratch::new(n);
+            for (off, best) in out.iter_mut().enumerate() {
+                let started = Instant::now();
+                let row = base + off;
+                let found = self.search_indexed(row as u32, ef, &mut scratch);
+                let cand: Vec<Neighbor> = found
+                    .into_iter()
+                    .filter(|c| c.idx as usize != row)
+                    .take(fetch)
+                    .map(|c| Neighbor {
+                        index: c.idx as usize,
+                        similarity: c.sim,
+                    })
+                    .collect();
+                *best = if self.quant.is_some() {
+                    rescore_with_f32(&self.normed, self.normed.row(row), cand, k)
+                } else {
+                    cand
+                };
+                query_latency.record_duration(started.elapsed());
             }
-        })
-        .expect("hnsw query worker panicked");
+        });
         results
     }
 
@@ -428,14 +393,6 @@ impl<'m> HnswIndex<'m> {
         darkvec_obs::metrics::counter("ml.ann.queries").add(nq as u64);
         let mut normed_q = queries.to_vec();
         normalize_rows(&mut normed_q, dim);
-        let threads = if threads > 0 {
-            threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        }
-        .min(nq);
         let n = self.rows();
         // Int8 indexes oversample for the f32 refinement pass.
         let fetch = if self.quant.is_some() {
@@ -445,38 +402,30 @@ impl<'m> HnswIndex<'m> {
         };
         let ef = ef.max(fetch);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-        let chunk = nq.div_ceil(threads);
-        let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
-            for (c, out) in results.chunks_mut(chunk).enumerate() {
-                let q = &normed_q[c * chunk * dim..(c * chunk + out.len()) * dim];
-                scope.spawn(move |_| {
-                    let _worker = darkvec_obs::span!("ml.ann.query.chunk", ctx);
-                    let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
-                    let mut scratch = Scratch::new(n);
-                    for (off, best) in out.iter_mut().enumerate() {
-                        let started = Instant::now();
-                        let qv = &q[off * dim..(off + 1) * dim];
-                        let found = self.search(qv, ef, &mut scratch);
-                        let cand: Vec<Neighbor> = found
-                            .into_iter()
-                            .take(fetch)
-                            .map(|c| Neighbor {
-                                index: c.idx as usize,
-                                similarity: c.sim,
-                            })
-                            .collect();
-                        *best = if self.quant.is_some() {
-                            rescore_with_f32(&self.normed, qv, cand, k)
-                        } else {
-                            cand
-                        };
-                        query_latency.record_duration(started.elapsed());
-                    }
-                });
+        for_each_chunk(&mut results, threads, "ml.ann.query.chunk", |base, out| {
+            let q = &normed_q[base * dim..(base + out.len()) * dim];
+            let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
+            let mut scratch = Scratch::new(n);
+            for (off, best) in out.iter_mut().enumerate() {
+                let started = Instant::now();
+                let qv = &q[off * dim..(off + 1) * dim];
+                let found = self.search(qv, ef, &mut scratch);
+                let cand: Vec<Neighbor> = found
+                    .into_iter()
+                    .take(fetch)
+                    .map(|c| Neighbor {
+                        index: c.idx as usize,
+                        similarity: c.sim,
+                    })
+                    .collect();
+                *best = if self.quant.is_some() {
+                    rescore_with_f32(&self.normed, qv, cand, k)
+                } else {
+                    cand
+                };
+                query_latency.record_duration(started.elapsed());
             }
-        })
-        .expect("hnsw query worker panicked");
+        });
         results
     }
 

@@ -36,6 +36,7 @@
 //! symmetric range assumptions of the SIMD kernels trivially safe.
 
 use crate::knn::{insert_bounded, Neighbor, QUERY_BLOCK, TILE_ROWS};
+use crate::par::for_each_chunk;
 use crate::vectors::NormalizedMatrix;
 use darkvec_kernels::dot_i8;
 
@@ -248,19 +249,10 @@ impl QuantizedMatrix {
             return Vec::new();
         }
         darkvec_obs::metrics::counter("ml.knn.queries").add(n as u64);
-        let threads = resolve_threads(threads, n);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let chunk = n.div_ceil(threads);
-        let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
-            for (c, out) in results.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
-                    self.scan_rows(c * chunk, out, k);
-                });
-            }
-        })
-        .expect("quantized knn worker panicked");
+        for_each_chunk(&mut results, threads, "ml.knn.chunk", |base, out| {
+            self.scan_rows(base, out, k)
+        });
         results
     }
 
@@ -290,20 +282,10 @@ impl QuantizedMatrix {
             .map(|q| self.quantize_query(q))
             .collect();
 
-        let threads = resolve_threads(threads, nq);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-        let chunk = nq.div_ceil(threads);
-        let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
-            for (c, out) in results.chunks_mut(chunk).enumerate() {
-                let qs = &quantized[c * chunk..c * chunk + out.len()];
-                scope.spawn(move |_| {
-                    let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
-                    self.scan_queries(qs, None, out, k);
-                });
-            }
-        })
-        .expect("quantized knn_batch worker panicked");
+        for_each_chunk(&mut results, threads, "ml.knn.chunk", |base, out| {
+            self.scan_queries(&quantized[base..base + out.len()], None, out, k)
+        });
         results
     }
 
@@ -356,18 +338,6 @@ impl QuantizedMatrix {
             }
         }
     }
-}
-
-fn resolve_threads(threads: usize, work: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    }
-    .min(work)
-    .max(1)
 }
 
 #[cfg(test)]
