@@ -67,12 +67,10 @@ pub fn incremental(ctx: &Ctx) -> String {
     let cold_opts = IncrementalOptions {
         warm_epochs: 0,
         cluster_k: None,
-        shard_threads: 0,
     };
     let warm_opts = IncrementalOptions {
         warm_epochs: WARM_EPOCHS,
         cluster_k: None,
-        shard_threads: 0,
     };
 
     // All passes share one persistent cache directory (under --out): a

@@ -31,7 +31,6 @@ use crate::table::TextTable;
 use crate::Ctx;
 use darkvec::config::SlidingWindow;
 use darkvec::incremental::{run_sliding, IncrementalOptions};
-use darkvec::inspect::profile_clusters;
 use darkvec::lineage::{ClusterObservation, LineageConfig, LineageTracker};
 use darkvec_gen::address_space::AddressAllocator;
 use darkvec_gen::campaigns::build_all;
@@ -158,7 +157,6 @@ pub fn novelty(ctx: &Ctx) -> String {
     let opts = IncrementalOptions {
         warm_epochs: 0,
         cluster_k: Some(CLUSTER_K),
-        shard_threads: 0,
     };
     let steps = run_sliding(&out.trace, &cfg, &opts, None);
 
@@ -194,13 +192,10 @@ pub fn novelty(ctx: &Ctx) -> String {
                 Timestamp(s.start_day * DAY),
                 Timestamp((s.end_day + 1) * DAY),
             );
-            let profiles = profile_clusters(&wtrace, emb, clustering);
-            let observations: Vec<ClusterObservation> = clustering
-                .members(emb)
-                .into_iter()
-                .enumerate()
-                .map(|(c, group)| observation(c, group, emb, &profiles, &gt_labels))
-                .collect();
+            let mut observations = ClusterObservation::from_traffic(clustering, emb, &wtrace);
+            for obs in &mut observations {
+                obs.label = dominant_label(&obs.members, &gt_labels);
+            }
             row.clusters = observations.len();
             // Freshness presence: every sender in the window's raw
             // traffic, so sub-threshold sporadics never read as novel.
@@ -354,54 +349,22 @@ pub fn novelty(ctx: &Ctx) -> String {
     txt
 }
 
-/// Builds one cluster's observation: mean-of-members centroid, dominant
-/// non-Unknown ground-truth label (the share a real deployment would get
-/// from fingerprints and published lists), inspect evidence from the
-/// window's own traffic.
-fn observation(
-    c: usize,
-    group: Vec<Ipv4>,
-    emb: &darkvec_w2v::Embedding<Ipv4>,
-    profiles: &[darkvec::inspect::ClusterProfile],
-    gt_labels: &HashMap<Ipv4, GtClass>,
-) -> ClusterObservation {
-    let mut centroid = vec![0.0f32; emb.dim()];
-    for ip in &group {
-        if let Some(row) = emb.get(ip) {
-            for (acc, &x) in centroid.iter_mut().zip(row) {
-                *acc += x;
-            }
-        }
-    }
-    let n = group.len().max(1) as f32;
-    for acc in &mut centroid {
-        *acc /= n;
-    }
+/// A cluster's dominant non-Unknown ground-truth label and its share —
+/// what a real deployment would get from fingerprints and published
+/// lists.
+fn dominant_label(members: &[Ipv4], gt_labels: &HashMap<Ipv4, GtClass>) -> Option<(String, f64)> {
     let mut counts: HashMap<GtClass, usize> = HashMap::new();
-    for ip in &group {
+    for ip in members {
         let class = gt_labels.get(ip).copied().unwrap_or(GtClass::Unknown);
         *counts.entry(class).or_insert(0) += 1;
     }
     // Deterministic dominant pick: by count, then label id — independent
     // of HashMap iteration order.
-    let label = counts
+    counts
         .iter()
         .filter(|(class, _)| **class != GtClass::Unknown)
         .max_by_key(|(class, &n)| (n, std::cmp::Reverse(class.label())))
-        .map(|(class, &n)| (class.name().to_string(), n as f64 / group.len() as f64));
-    let p = &profiles[c];
-    ClusterObservation {
-        cluster: c as u32,
-        members: group,
-        centroid,
-        label,
-        top_ports: p
-            .top_ports
-            .iter()
-            .map(|(key, share)| (key.to_string(), *share))
-            .collect(),
-        regularity: p.regularity.name().to_string(),
-    }
+        .map(|(class, &n)| (class.name().to_string(), n as f64 / members.len() as f64))
 }
 
 fn pass(ok: bool) -> &'static str {

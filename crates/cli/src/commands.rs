@@ -291,7 +291,7 @@ pub fn cluster(opts: &Options) -> Result<(), String> {
 }
 
 /// `darkvec incremental --trace in.bin [--window-days 30] [--stride 1]
-/// [--warm-epochs 2] [--k 3] [--cache DIR] [--shard-threads N]
+/// [--warm-epochs 2] [--k 3] [--cache DIR]
 /// [--out model.dkvm] [--lineage-out report.json]`
 ///
 /// Slides a `--window-days` window over the capture in `--stride`-day
@@ -322,7 +322,6 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
     let run_opts = IncrementalOptions {
         warm_epochs: opts.get_or("warm-epochs", 2usize)?,
         cluster_k: (k > 0).then_some(k),
-        shard_threads: opts.get_or("shard-threads", 0usize)?,
     };
     let cache = match opts.get("cache") {
         Some(dir) => Some(ArtifactCache::new(dir).map_err(|e| format!("{dir}: {e}"))?),
@@ -409,41 +408,9 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
             Timestamp(s.start_day * DAY),
             Timestamp((s.end_day + 1) * DAY),
         );
-        let profiles = profile_clusters(&wtrace, emb, clustering);
-        let observations: Vec<ClusterObservation> = clustering
-            .members(emb)
-            .into_iter()
-            .enumerate()
-            .map(|(c, group)| {
-                let mut centroid = vec![0.0f32; emb.dim()];
-                for ip in &group {
-                    if let Some(row) = emb.get(ip) {
-                        for (acc, &x) in centroid.iter_mut().zip(row) {
-                            *acc += x;
-                        }
-                    }
-                }
-                let n = group.len().max(1) as f32;
-                for acc in &mut centroid {
-                    *acc /= n;
-                }
-                let p = &profiles[c];
-                ClusterObservation {
-                    cluster: c as u32,
-                    members: group,
-                    centroid,
-                    // Real captures carry no ground-truth side channel;
-                    // size and ancestry alone gate the alerts.
-                    label: None,
-                    top_ports: p
-                        .top_ports
-                        .iter()
-                        .map(|(key, share)| (key.to_string(), *share))
-                        .collect(),
-                    regularity: p.regularity.name().to_string(),
-                }
-            })
-            .collect();
+        // Real captures carry no ground-truth side channel; size and
+        // ancestry alone gate the alerts.
+        let observations = ClusterObservation::from_traffic(clustering, emb, &wtrace);
         // Freshness presence: every sender in the window's raw traffic,
         // so sub-threshold sporadics never read as novel later.
         let present: Vec<_> = wtrace.senders().into_iter().collect();
@@ -562,7 +529,7 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
 /// `darkvec serve [--trace in.bin | --days N --scale S --seed N]
 /// [--listen 127.0.0.1:0] [--window-days 7] [--stride 1] [--warm-epochs 2]
 /// [--k 7] [--cache DIR] [--ann | --exact] [--precision f32|int8]
-/// [--shard-threads N] [--batch N] [--linger]`
+/// [--batch N] [--linger]`
 ///
 /// Starts the streaming daemon, feeds it the capture (a file with
 /// `--trace`, otherwise a fresh simulation), and serves classify queries
@@ -599,7 +566,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     serve_cfg.cache_dir = opts.get("cache").map(Into::into);
     serve_cfg.listen = opts.get("listen").unwrap_or("127.0.0.1:0").to_string();
     serve_cfg.threads = opts.get_or("threads", 0usize)?;
-    serve_cfg.shard_threads = opts.get_or("shard-threads", 0usize)?;
     let batch: usize = opts.get_or("batch", 0usize)?;
 
     // Packet source: a capture file, or a fresh simulation.

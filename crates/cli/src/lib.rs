@@ -6,12 +6,12 @@
 //! darkvec train     --trace trace.bin --out model.dkvm [--services domain|auto|single]
 //!                   [--dim 50] [--window 25] [--epochs 10] [--min-packets 10]
 //! darkvec incremental --trace trace.bin [--window-days 30] [--stride 1]
-//!                   [--warm-epochs 2] [--k 3] [--cache DIR] [--shard-threads N]
+//!                   [--warm-epochs 2] [--k 3] [--cache DIR]
 //!                   [--out model.dkvm] [--lineage-out report.json]
 //! darkvec serve     [--trace trace.bin | --days N --scale S --seed N]
 //!                   [--listen 127.0.0.1:0] [--window-days 7] [--stride 1]
 //!                   [--warm-epochs 2] [--k 7] [--cache DIR] [--ann | --exact]
-//!                   [--precision f32|int8] [--shard-threads N]
+//!                   [--precision f32|int8]
 //! darkvec query     --addr HOST:PORT [--ip A.B.C.D [--ports 23/tcp,2323/tcp] [--k N]]
 //!                   [--status] [--alerts] [--ping] [--shutdown]
 //! darkvec similar   --model model.dkvm --ip 1.2.3.4 [--top 10]
@@ -47,9 +47,7 @@
 //! recall@10 in benchmarks); `--exact` forces the default brute-force
 //! scan. `--precision int8` scans int8 scalar-quantized rows (~29.5% of
 //! the f32 row memory) with an exact f32 re-rank of the oversampled
-//! candidates; `--precision f32` is the default. `--shard-threads N`
-//! (`incremental`, `serve`) builds per-day corpus shards on N worker
-//! threads (0 = all cores) — results are bit-identical to serial.
+//! candidates; `--precision f32` is the default.
 //!
 //! All of the command logic lives in this library crate so integration
 //! tests can drive a command in-process and assert on its exit status;
@@ -239,8 +237,6 @@ fn usage() -> &'static str {
                           where kNN is involved (default exact)\n\
        --precision P      neighbour-search row precision: f32 (default) or\n\
                           int8 (quantized scan + exact f32 re-rank)\n\
-       --shard-threads N  parallel day-shard corpus build for incremental\n\
-                          and serve (0/absent = all cores, bit-identical)\n\
        --threads N        worker threads (0/absent = all cores)\n\
        --metrics-addr A   serve live metrics on A (e.g. 127.0.0.1:9090):\n\
                           /metrics (Prometheus), /metrics.json, /healthz\n\

@@ -118,6 +118,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Artifacts written.
     pub stores: u64,
+    /// Loads whose bytes failed to decode (each one was rebuilt and
+    /// overwritten by [`load_or_build`]).
+    pub corrupt: u64,
 }
 
 /// A directory of content-addressed artifacts, one subdirectory per kind
@@ -128,6 +131,7 @@ pub struct ArtifactCache {
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
+    corrupt: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -140,6 +144,7 @@ impl ArtifactCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
         })
     }
 
@@ -203,8 +208,39 @@ impl ArtifactCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
+            corrupt: self.corrupt.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The one load → decode → rebuild-and-store path for every cached
+/// artifact. Returns the artifact and whether it came from disk. An
+/// artifact that fails to `decode` is counted in [`CacheStats::corrupt`]
+/// (and `cache.corrupt`), then rebuilt and stored over the bad file.
+pub fn load_or_build<T, B: AsRef<[u8]>>(
+    cache: Option<&ArtifactCache>,
+    kind: &str,
+    key: u64,
+    decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    encode: impl FnOnce(&T) -> B,
+    build: impl FnOnce() -> T,
+) -> (T, bool) {
+    let Some(cache) = cache else {
+        return (build(), false);
+    };
+    if let Some(raw) = cache.load(kind, key) {
+        match decode(&raw) {
+            Ok(value) => return (value, true),
+            Err(e) => {
+                cache.corrupt.fetch_add(1, Ordering::Relaxed);
+                darkvec_obs::metrics::counter("cache.corrupt").add(1);
+                darkvec_obs::warn!("cache: corrupt {kind} artifact {key:016x} rebuilt: {e}");
+            }
+        }
+    }
+    let value = build();
+    let _ = cache.store(kind, key, encode(&value).as_ref());
+    (value, false)
 }
 
 #[cfg(test)]
@@ -266,27 +302,10 @@ mod tests {
             CacheStats {
                 hits: 1,
                 misses: 2,
-                stores: 1
+                stores: 1,
+                corrupt: 0
             }
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn latency_histograms_record_cache_io() {
-        let dir = tmpdir("latency");
-        let cache = ArtifactCache::new(&dir).unwrap();
-        let hit = darkvec_obs::metrics::histogram("cache.hit_ns");
-        let miss = darkvec_obs::metrics::histogram("cache.miss_ns");
-        let store = darkvec_obs::metrics::histogram("cache.store_ns");
-        let (h0, m0, s0) = (hit.count(), miss.count(), store.count());
-        assert!(cache.load("model", 1).is_none());
-        cache.store("model", 1, b"payload").unwrap();
-        assert!(cache.load("model", 1).is_some());
-        assert_eq!(hit.count() - h0, 1);
-        assert_eq!(miss.count() - m0, 1);
-        assert_eq!(store.count() - s0, 1);
-        assert!(store.quantile(0.99) > 0, "store latency is non-zero");
         let _ = fs::remove_dir_all(&dir);
     }
 

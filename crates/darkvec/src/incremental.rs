@@ -5,6 +5,15 @@
 //! trained model, kNN neighbour lists) is served from a content-addressed
 //! [`ArtifactCache`] when its inputs have not changed.
 //!
+//! ## One window step
+//!
+//! [`WindowStep`] is the only copy of the step: [`run_sliding`] and the
+//! serve daemon's trainer ([`crate::serve`]) both run it, so they key,
+//! cache and train alike and share artifacts both ways. It has a
+//! [`train`](WindowStep::train) half and a
+//! [`cluster`](WindowStep::cluster) half because the daemon swaps the new
+//! model in between the two.
+//!
 //! ## Equivalence with the one-shot pipeline
 //!
 //! Per-day corpora are built *unfiltered* and activity filtering moves to
@@ -23,26 +32,22 @@
 //! incremental step count the unfiltered window corpus (a shard cannot
 //! know window-global activity).
 
-use crate::cache::{fnv1a64, hash_packets, ArtifactCache, KeyHasher};
+use crate::cache::{fnv1a64, hash_packets, load_or_build, ArtifactCache, KeyHasher};
 use crate::config::DarkVecConfig;
 use crate::corpus::corpus_stats;
 use crate::pipeline::{resolve_services, TrainedModel};
-use crate::shard::{build_shards, merge_shards};
-use crate::unsupervised::{canonical_assignment, Clustering};
+use crate::services::ServiceMap;
+use crate::shard::{build_shards, merge_shards, MergedCorpus};
+use crate::unsupervised::{cluster_embedding_with, knn_lists, ClusterConfig, Clustering};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use darkvec_graph::knn_graph::{knn_graph_from_neighbors, KnnGraphConfig};
-use darkvec_graph::louvain::louvain;
-use darkvec_graph::silhouette::cluster_silhouettes_normalized;
-use darkvec_ml::ann::{knn_all_with, NeighborBackend};
+use darkvec_ml::ann::NeighborBackend;
 use darkvec_ml::knn::Neighbor;
-use darkvec_ml::vectors::Matrix;
-use darkvec_types::{Trace, DAY};
-use darkvec_w2v::{count_skipgrams, train_prepared};
+use darkvec_types::{Packet, Trace, DAY};
+use darkvec_w2v::{count_skipgrams, train_prepared, TrainConfig};
 use std::time::Instant;
 
 /// Knobs of the incremental runner that are not part of the model
-/// configuration (they change wall clock, never single-run artifacts —
-/// warm epochs *are* folded into warm model cache keys).
+/// configuration (warm epochs *are* folded into warm model cache keys).
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalOptions {
     /// Epochs for warm-started steps; `0` disables warm starting (every
@@ -52,10 +57,6 @@ pub struct IncrementalOptions {
     /// `Some(k)` clusters each step's embedding with a k′-NN graph +
     /// Louvain (seeded by `cfg.w2v.seed`), caching the neighbour lists.
     pub cluster_k: Option<usize>,
-    /// Worker threads for the per-day shard build (`0` = one per core).
-    /// Pure wall-clock: the merged corpus is bit-identical for any value
-    /// (see [`crate::shard`]), so it never enters cache keys.
-    pub shard_threads: usize,
 }
 
 impl Default for IncrementalOptions {
@@ -63,7 +64,6 @@ impl Default for IncrementalOptions {
         IncrementalOptions {
             warm_epochs: 2,
             cluster_k: None,
-            shard_threads: 0,
         }
     }
 }
@@ -94,13 +94,168 @@ pub struct DayOutcome {
     pub cache_secs: f64,
 }
 
+/// Cache key of one capture day's corpus shard: the configuration
+/// fingerprint, the service map's hash, the day and its packets.
+pub fn day_key(fingerprint: &str, services_hash: u64, day: u64, packets: &[Packet]) -> u64 {
+    KeyHasher::new()
+        .write_str("corpus")
+        .write_str(fingerprint)
+        .write_u64(services_hash)
+        .write_u64(day)
+        .write_u64(hash_packets(packets))
+        .finish()
+}
+
+/// The sliding-window step (see the module docs).
+pub struct WindowStep<'a> {
+    fingerprint: String,
+    config_hash: u64,
+    train_cfg: TrainConfig,
+    warm_epochs: usize,
+    cache: Option<&'a ArtifactCache>,
+}
+
+impl<'a> WindowStep<'a> {
+    /// A step for `cfg`, warm-starting with `warm_epochs` epochs (`0` =
+    /// always cold) and training on `threads` threads (`0` = all cores).
+    pub fn new(
+        cfg: &DarkVecConfig,
+        warm_epochs: usize,
+        threads: usize,
+        cache: Option<&'a ArtifactCache>,
+    ) -> Self {
+        // The trainer owns activity filtering (see module docs).
+        let mut train_cfg = cfg.w2v.clone();
+        train_cfg.min_count = cfg.min_packets.max(cfg.w2v.min_count);
+        train_cfg.threads = threads;
+        WindowStep {
+            fingerprint: cfg.fingerprint(),
+            config_hash: cfg.fingerprint_hash(),
+            train_cfg,
+            warm_epochs,
+            cache,
+        }
+    }
+
+    /// The train half: the model of the window `start_day..=end_day` out
+    /// of its merged day shards (`day_keys` in day order), from the cache
+    /// when present, else trained — warm from `prior = Some((prior_key,
+    /// prior_model))` when warm epochs are set, cold otherwise. The
+    /// outcome has no clustering and no step timings yet.
+    pub fn train(
+        &self,
+        (start_day, end_day): (u64, u64),
+        services: &ServiceMap,
+        services_hash: u64,
+        day_keys: &[u64],
+        merged: &MergedCorpus,
+        prior: Option<(u64, &TrainedModel)>,
+    ) -> DayOutcome {
+        let prior = prior.filter(|_| self.warm_epochs > 0);
+        // The model key chains the window's day keys and, for a warm
+        // model, the prior's key: it depends on everything the prior did.
+        let mut h = KeyHasher::new();
+        h.write_str("model")
+            .write_str(&self.fingerprint)
+            .write_u64(services_hash);
+        for &k in day_keys {
+            h.write_u64(k);
+        }
+        match prior {
+            Some((prior_key, _)) => h
+                .write_str("warm")
+                .write_u64(self.warm_epochs as u64)
+                .write_u64(prior_key),
+            None => h.write_str("cold"),
+        };
+        let model_key = h.finish();
+        let mut train_secs = 0.0;
+        let (model, from_cache) = load_or_build(
+            self.cache,
+            "model",
+            model_key,
+            |raw| TrainedModel::from_bytes(raw),
+            TrainedModel::to_bytes,
+            || {
+                let corpus = &merged.corpus;
+                let stats = corpus_stats(corpus);
+                let skipgrams = count_skipgrams(corpus, self.train_cfg.window);
+                let t0 = Instant::now();
+                let (embedding, train_stats) = {
+                    let _s = darkvec_obs::span!("incremental.train");
+                    // The shard merge already summed per-day counts; feed
+                    // the induced vocabulary straight to the trainer
+                    // instead of re-scanning the window corpus.
+                    let vocab = merged.vocab(self.train_cfg.min_count);
+                    let mut train_cfg = self.train_cfg.clone();
+                    if prior.is_some() {
+                        train_cfg.epochs = self.warm_epochs;
+                    }
+                    train_prepared(corpus, &train_cfg, vocab, prior.map(|(_, m)| &m.embedding))
+                };
+                train_secs = t0.elapsed().as_secs_f64();
+                TrainedModel {
+                    embedding,
+                    services: services.clone(),
+                    corpus: stats,
+                    skipgrams,
+                    train: train_stats,
+                    config_hash: self.config_hash,
+                }
+            },
+        );
+        DayOutcome {
+            start_day,
+            end_day,
+            warm: prior.is_some(),
+            from_cache,
+            model,
+            clustering: None,
+            model_key,
+            train_secs,
+            step_secs: 0.0,
+            cache_secs: 0.0,
+        }
+    }
+
+    /// The cluster half: [`cluster_embedding_with`] over `model`, the
+    /// kNN lists cached under `model_key` and `cfg.k`. Only exact lists
+    /// are cached: the key names no backend.
+    ///
+    /// # Panics
+    /// Panics if the embedding is empty.
+    pub fn cluster(&self, model: &TrainedModel, model_key: u64, cfg: &ClusterConfig) -> Clustering {
+        let _s = darkvec_obs::span!("incremental.cluster");
+        let cache = self
+            .cache
+            .filter(|_| matches!(cfg.backend, NeighborBackend::Exact));
+        let knn_key = KeyHasher::new()
+            .write_str("knn")
+            .write_u64(model_key)
+            .write_u64(cfg.k as u64)
+            .finish();
+        cluster_embedding_with(&model.embedding, cfg, |normed| {
+            load_or_build(
+                cache,
+                "knn",
+                knn_key,
+                |raw| neighbors_from_bytes(raw),
+                |lists| neighbors_to_bytes(lists),
+                || knn_lists(normed, cfg),
+            )
+            .0
+        })
+    }
+}
+
 /// Runs the sliding-window pipeline over a trace.
 ///
 /// For each window position the runner assembles the window corpus from
-/// per-day shards, trains (or warm-starts, or loads from cache) a model,
-/// and optionally clusters the embedding. With `cache: Some(..)`, every
-/// artifact is keyed by configuration fingerprint + input content + code
-/// salt, so a second identical run is served entirely from disk.
+/// per-day shards and runs the [`WindowStep`]: trains (or warm-starts, or
+/// loads from cache) a model, and optionally clusters the embedding. With
+/// `cache: Some(..)`, every artifact is keyed by configuration
+/// fingerprint + input content + code salt, so a second identical run is
+/// served entirely from disk.
 ///
 /// # Panics
 /// Panics if `cfg.dt` is zero or does not divide a day (the shard
@@ -142,11 +297,7 @@ pub fn run_sliding(
     };
     let services_hash = fnv1a64(&services.to_bytes());
     let fingerprint = cfg.fingerprint();
-    let config_hash = cfg.fingerprint_hash();
-
-    // The trainer owns activity filtering (see module docs).
-    let mut train_cfg = cfg.w2v.clone();
-    train_cfg.min_count = cfg.min_packets.max(cfg.w2v.min_count);
+    let step = WindowStep::new(cfg, opts.warm_epochs, cfg.w2v.threads, cache);
 
     // Window ends: the first window ends as soon as `days` days exist (or
     // the trace ends), then advances by `stride`. When the stride does not
@@ -166,21 +317,11 @@ pub fn run_sliding(
         ends.push(total_days - 1);
     }
 
-    let mut day_keys: Vec<Option<u64>> = vec![None; total_days as usize];
-    let mut key_of_day = |day: u64| -> u64 {
-        *day_keys[day as usize].get_or_insert_with(|| {
-            let mut h = KeyHasher::new();
-            h.write_str("corpus")
-                .write_str(&fingerprint)
-                .write_u64(services_hash)
-                .write_u64(day)
-                .write_u64(hash_packets(trace.day_slice(day)));
-            h.finish()
-        })
-    };
+    let day_keys: Vec<u64> = (0..total_days)
+        .map(|day| day_key(&fingerprint, services_hash, day, trace.day_slice(day)))
+        .collect();
 
     let mut outcomes: Vec<DayOutcome> = Vec::with_capacity(ends.len());
-    let mut prior: Option<(u64, TrainedModel)> = None; // (model_key, model)
 
     let step_latency = darkvec_obs::metrics::histogram("incremental.step_ns");
     let cache_io_ns = || {
@@ -195,174 +336,67 @@ pub fn run_sliding(
         let _step = darkvec_obs::span!("incremental.step");
         let start_day = (end_day + 1).saturating_sub(cfg.window.days);
 
-        // 1. Window corpus out of per-day shards, built in parallel and
-        // merged deterministically — bit-identical to the old serial
-        // loop for any `shard_threads` (see `crate::shard`).
-        let step_day_keys: Vec<u64> = (start_day..=end_day).map(&mut key_of_day).collect();
+        // Window corpus out of per-day shards, built on every core and
+        // merged deterministically (see `crate::shard`).
+        let window_keys = &day_keys[start_day as usize..=end_day as usize];
         let merged = merge_shards(build_shards(
             trace,
             start_day,
             end_day,
-            &step_day_keys,
+            window_keys,
             &services,
             cfg.dt,
             cache,
-            opts.shard_threads,
+            0,
         ));
-        let corpus = &merged.corpus;
-
-        // 2. The model key chains: a warm model depends on everything its
-        // prior depended on, transitively, via the prior's key.
-        let warm = opts.warm_epochs > 0 && prior.is_some();
-        let model_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("model")
-                .write_str(&fingerprint)
-                .write_u64(services_hash);
-            for &k in &step_day_keys {
-                h.write_u64(k);
-            }
-            if warm {
-                let (prior_key, _) = prior.as_ref().expect("warm implies prior");
-                h.write_str("warm")
-                    .write_u64(opts.warm_epochs as u64)
-                    .write_u64(*prior_key);
-            } else {
-                h.write_str("cold");
-            }
-            h.finish()
-        };
-
-        // 3. Model: cache, else train (warm or cold).
-        let cached_model = cache
-            .and_then(|c| c.load("model", model_key))
-            .and_then(|raw| TrainedModel::from_bytes(&raw[..]).ok());
-        let from_cache = cached_model.is_some();
-        let mut train_secs = 0.0;
-        let model = cached_model.unwrap_or_else(|| {
-            let stats = corpus_stats(corpus);
-            let skipgrams = count_skipgrams(corpus, cfg.w2v.window);
-            let t0 = Instant::now();
-            let (embedding, train_stats) = {
-                let _s = darkvec_obs::span!("incremental.train");
-                // The parallel build already merged per-shard counts;
-                // feed the induced vocabulary straight to the trainer
-                // instead of re-scanning the window corpus.
-                let vocab = merged.vocab(train_cfg.min_count);
-                if warm {
-                    let (_, prior_model) = prior.as_ref().expect("warm implies prior");
-                    let mut warm_cfg = train_cfg.clone();
-                    warm_cfg.epochs = opts.warm_epochs;
-                    train_prepared(corpus, &warm_cfg, vocab, Some(&prior_model.embedding))
-                } else {
-                    train_prepared(corpus, &train_cfg, vocab, None)
-                }
-            };
-            train_secs = t0.elapsed().as_secs_f64();
-            let model = TrainedModel {
-                embedding,
-                services: services.clone(),
-                corpus: stats,
-                skipgrams,
-                train: train_stats,
-                config_hash,
-            };
-            if let Some(c) = cache {
-                let _ = c.store("model", model_key, &model.to_bytes());
-            }
-            model
-        });
-        darkvec_obs::metrics::counter(if warm {
+        let prior = outcomes.last().map(|o| (o.model_key, &o.model));
+        let window = (start_day, end_day);
+        let mut outcome = step.train(
+            window,
+            &services,
+            services_hash,
+            window_keys,
+            &merged,
+            prior,
+        );
+        drop(merged);
+        darkvec_obs::metrics::counter(if outcome.warm {
             "incremental.warm_steps"
         } else {
             "incremental.cold_steps"
         })
         .add(1);
 
-        // 4. Optional clustering, with the O(n²) neighbour search cached.
-        let clustering = opts
+        outcome.clustering = opts
             .cluster_k
-            .filter(|_| !model.embedding.is_empty())
+            .filter(|_| !outcome.model.embedding.is_empty())
             .map(|k| {
-                let _s = darkvec_obs::span!("incremental.cluster");
-                let normed = Matrix::new(
-                    model.embedding.vectors(),
-                    model.embedding.len(),
-                    model.embedding.dim(),
-                )
-                .normalized();
-                let knn_key = {
-                    let mut h = KeyHasher::new();
-                    h.write_str("knn").write_u64(model_key).write_u64(k as u64);
-                    h.finish()
+                let cluster_cfg = ClusterConfig {
+                    k,
+                    seed: cfg.w2v.seed,
+                    threads: cfg.w2v.threads,
+                    backend: NeighborBackend::Exact,
                 };
-                let neighbors = cache
-                    .and_then(|c| c.load("knn", knn_key))
-                    .and_then(|raw| neighbors_from_bytes(&raw[..]).ok())
-                    .unwrap_or_else(|| {
-                        let found =
-                            knn_all_with(&normed, k, cfg.w2v.threads, &NeighborBackend::Exact);
-                        if let Some(c) = cache {
-                            let _ = c.store("knn", knn_key, &neighbors_to_bytes(&found));
-                        }
-                        found
-                    });
-                let graph = knn_graph_from_neighbors(
-                    normed.rows(),
-                    &neighbors,
-                    &KnnGraphConfig {
-                        k,
-                        threads: cfg.w2v.threads,
-                        mutual: false,
-                        backend: NeighborBackend::Exact,
-                    },
-                );
-                let partition = louvain(&graph, cfg.w2v.seed);
-                // Canonical ids (smallest member address first) so the same
-                // group keeps its id across windows — lineage depends on it.
-                let assignment = canonical_assignment(
-                    &model.embedding,
-                    &partition.assignment,
-                    partition.communities,
-                );
-                let silhouettes = cluster_silhouettes_normalized(&normed, &assignment);
-                Clustering {
-                    assignment,
-                    clusters: partition.communities,
-                    modularity: partition.modularity,
-                    silhouettes,
-                }
+                step.cluster(&outcome.model, outcome.model_key, &cluster_cfg)
             });
 
-        let step_secs = step_start.elapsed().as_secs_f64();
-        let cache_secs = cache_io_ns().saturating_sub(cache_ns_before) as f64 / 1e9;
+        outcome.step_secs = step_start.elapsed().as_secs_f64();
+        outcome.cache_secs = cache_io_ns().saturating_sub(cache_ns_before) as f64 / 1e9;
         step_latency.record_duration(step_start.elapsed());
         darkvec_obs::metrics::record_sample();
         darkvec_obs::debug!(
             "step days {start_day}..={end_day}: vocab {}, {} ({:.2}s)",
-            model.embedding.len(),
-            if from_cache {
+            outcome.model.embedding.len(),
+            if outcome.from_cache {
                 "cached"
-            } else if warm {
+            } else if outcome.warm {
                 "warm-trained"
             } else {
                 "cold-trained"
             },
-            step_secs
+            outcome.step_secs
         );
-        prior = Some((model_key, model.clone()));
-        outcomes.push(DayOutcome {
-            start_day,
-            end_day,
-            warm,
-            from_cache,
-            model,
-            clustering,
-            model_key,
-            train_secs,
-            step_secs,
-            cache_secs,
-        });
+        outcomes.push(outcome);
     }
     darkvec_obs::metrics::gauge("incremental.steps").set(outcomes.len() as f64);
     outcomes

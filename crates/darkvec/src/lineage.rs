@@ -31,8 +31,11 @@
 //! produces the same lineage ids and events, independent of member order
 //! inside a cluster.
 
+use crate::inspect::profile_clusters;
+use crate::unsupervised::Clustering;
 use darkvec_obs::Json;
-use darkvec_types::Ipv4;
+use darkvec_types::{Ipv4, Trace};
+use darkvec_w2v::Embedding;
 use std::collections::{HashMap, HashSet};
 
 /// Thresholds for the lineage matcher.
@@ -94,6 +97,61 @@ pub struct ClusterObservation {
     pub top_ports: Vec<(String, f64)>,
     /// Temporal-regularity judgement (`darkvec::temporal`), e.g. "daily".
     pub regularity: String,
+}
+
+impl ClusterObservation {
+    /// One observation per cluster of `clustering`, in cluster-id order:
+    /// the members and, as centroid, the mean of their raw rows of
+    /// `embedding`. The evidence (`label`, `top_ports`, `regularity`) is
+    /// left empty for the caller to fill in.
+    pub fn from_clustering(
+        clustering: &Clustering,
+        embedding: &Embedding<Ipv4>,
+    ) -> Vec<ClusterObservation> {
+        let mut sums = vec![vec![0.0f32; embedding.dim()]; clustering.clusters];
+        for (row, &c) in clustering.assignment.iter().enumerate() {
+            for (acc, &x) in sums[c as usize].iter_mut().zip(embedding.row(row as u32)) {
+                *acc += x;
+            }
+        }
+        let members = clustering.members(embedding);
+        (0..clustering.clusters as u32)
+            .zip(members.into_iter().zip(sums))
+            .map(|(cluster, (members, mut centroid))| {
+                let n = members.len().max(1) as f32;
+                centroid.iter_mut().for_each(|x| *x /= n);
+                ClusterObservation {
+                    cluster,
+                    members,
+                    centroid,
+                    label: None,
+                    top_ports: Vec::new(),
+                    regularity: String::new(),
+                }
+            })
+            .collect()
+    }
+
+    /// [`ClusterObservation::from_clustering`] with the window's own
+    /// traffic `window` as evidence ([`profile_clusters`]): top ports and
+    /// the regularity call. The label stays `None`.
+    pub fn from_traffic(
+        clustering: &Clustering,
+        embedding: &Embedding<Ipv4>,
+        window: &Trace,
+    ) -> Vec<ClusterObservation> {
+        let mut observations = Self::from_clustering(clustering, embedding);
+        let profiles = profile_clusters(window, embedding, clustering);
+        for (obs, p) in observations.iter_mut().zip(&profiles) {
+            obs.top_ports = p
+                .top_ports
+                .iter()
+                .map(|(key, share)| (key.to_string(), *share))
+                .collect();
+            obs.regularity = p.regularity.name().to_string();
+        }
+        observations
+    }
 }
 
 /// What happened to a lineage in one window.

@@ -113,7 +113,7 @@ pub struct StatusReply {
     pub swaps: u32,
     /// Classify queries answered (including error replies).
     pub queries: u64,
-    /// Protocol/ingest errors survived (the `serve.errors` counter).
+    /// Faults survived, as in [`crate::serve::DaemonStats::errors`].
     pub errors: u64,
     /// First capture day of the serving model's training window
     /// (protocol-versioned tail field; 0 when talking to an old daemon).

@@ -5,28 +5,30 @@
 //!
 //! * **Ingest** — consumes micro-batches of packets from an
 //!   [`std::sync::mpsc`] channel, buffers the current capture day, and on
-//!   day rollover builds that day's corpus shard
-//!   ([`crate::corpus::build_day_corpus`], served from the
-//!   content-addressed [`ArtifactCache`] when available — the cache keys
-//!   are byte-compatible with the batch incremental runner, so a serve
-//!   daemon and a `darkvec incremental` run share artifacts). When enough
-//!   days exist it schedules a retrain of the trailing window.
+//!   day rollover gets that day's corpus shard
+//!   ([`crate::shard::day_corpus`] under [`crate::incremental::day_key`],
+//!   from the content-addressed [`ArtifactCache`] when available). When
+//!   enough days exist it schedules a retrain of the trailing window.
 //! * **Trainer** — waits on a single-slot job queue (a slow train
-//!   *coalesces* rollovers instead of queueing them), trains warm-started
-//!   from the previous window's model like
-//!   [`crate::incremental::run_sliding`], then **atomically swaps** the
-//!   new [`ServingModel`] in: the model is fully built — matrix
+//!   *coalesces* rollovers instead of queueing them) and runs the same
+//!   [`WindowStep`] as [`crate::incremental::run_sliding`], so a daemon
+//!   and a `darkvec incremental` run share cached artifacts both ways.
+//!   The step's train half yields the model, which is then **atomically
+//!   swapped** in: the [`ServingModel`] is fully built — matrix
 //!   normalised, index constructed, labels and centroids attached,
 //!   checksum computed — *before* the swap, which is a single
-//!   `RwLock<Option<Arc<_>>>` store. Queries never observe a partial
-//!   model; each reply echoes the `(version, checksum)` pair of the model
-//!   that answered, and the daemon keeps a swap history so tests can
-//!   prove every reply came from a completely-swapped model.
+//!   `RwLock<Option<Arc<_>>>` store. Only then does the step's cluster
+//!   half run, for lineage and novelty alerts, so clustering never delays
+//!   the new model. Queries never observe a partial model; each reply
+//!   echoes the `(version, checksum)` pair of the model that answered,
+//!   and the daemon keeps a swap history so tests can prove every reply
+//!   came from a completely-swapped model.
 //! * **Acceptor** — a non-blocking TCP accept loop (same poll pattern as
 //!   `darkvec_obs::serve::MetricsServer`); each connection gets a thread
 //!   speaking the length-prefixed [`crate::protocol`]. Malformed frames,
 //!   mid-frame disconnects and slow-loris stalls are logged, counted in
-//!   `serve.errors`, and never take the daemon down.
+//!   `serve.errors`, and never take the daemon down. Corrupt cached
+//!   artifacts are rebuilt; they count in [`DaemonStats::errors`] too.
 //!
 //! Labels are derived from packet fingerprints observed in the training
 //! window (senders with a Mirai-fingerprinted probe vs. unknown), so the
@@ -38,9 +40,9 @@
 
 // lint: relaxed-ok(request/fault/drop counters are metrics counters; daemon control flow uses SeqCst and lock acquisition for synchronization)
 
-use crate::cache::{hash_packets, ArtifactCache, KeyHasher};
+use crate::cache::{ArtifactCache, KeyHasher};
 use crate::config::DarkVecConfig;
-use crate::corpus::{build_day_corpus, corpus_from_bytes, corpus_stats, corpus_to_bytes};
+use crate::incremental::{day_key, DayOutcome, WindowStep};
 use crate::lineage::{ClusterObservation, LineageConfig, LineageTracker};
 use crate::pipeline::{resolve_services, TrainedModel};
 use crate::protocol::{
@@ -49,12 +51,11 @@ use crate::protocol::{
     MAX_NEIGHBORS,
 };
 use crate::services::{ServiceId, ServiceMap};
-use crate::unsupervised::{cluster_embedding, ClusterConfig};
+use crate::unsupervised::ClusterConfig;
 use darkvec_ml::ann::{NeighborBackend, NeighborIndex};
 use darkvec_ml::classifier::{loo_knn_classify, Label};
 use darkvec_ml::vectors::{normalize_vec, Matrix, NormalizedMatrix};
 use darkvec_types::{Ipv4, Packet, Protocol, Trace};
-use darkvec_w2v::{count_skipgrams, train_prepared};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -94,10 +95,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Trainer/index-build threads (0 = all cores).
     pub threads: usize,
-    /// Worker threads for window-corpus shard merging before a retrain
-    /// (0 = all cores). Pure wall-clock — the merged corpus is
-    /// bit-identical for any value (see [`crate::shard`]).
-    pub shard_threads: usize,
 }
 
 impl ServeConfig {
@@ -113,7 +110,6 @@ impl ServeConfig {
             read_timeout: Duration::from_secs(2),
             queue_depth: 64,
             threads: 0,
-            shard_threads: 0,
         }
     }
 }
@@ -121,8 +117,7 @@ impl ServeConfig {
 /// One completed capture day, ready for window assembly.
 struct DayShard {
     day: u64,
-    /// Content-addressed corpus cache key (identical construction to the
-    /// batch incremental runner).
+    /// The corpus shard's [`day_key`].
     day_key: u64,
     corpus: Vec<Vec<Ipv4>>,
     /// Senders seen with a Mirai fingerprint this day.
@@ -134,8 +129,8 @@ struct DayShard {
 /// A scheduled retrain: the trailing window's shards plus the service
 /// map they were tokenised with.
 struct TrainJob {
-    start_day: u64,
-    end_day: u64,
+    /// `(start_day, end_day)`.
+    window: (u64, u64),
     shards: Vec<Arc<DayShard>>,
     services: Arc<ServiceMap>,
     services_hash: u64,
@@ -291,13 +286,15 @@ pub struct DaemonStats {
     pub swaps: u64,
     /// Classify queries answered (including error replies).
     pub queries: u64,
-    /// Faults survived (protocol, transport, artifact, ingest).
+    /// Faults survived (protocol, transport, ingest) plus corrupt cached
+    /// artifacts rebuilt.
     pub errors: u64,
 }
 
 /// State shared between the daemon's threads.
 struct Shared {
     cfg: ServeConfig,
+    cache: Option<ArtifactCache>,
     model: RwLock<Option<Arc<ServingModel>>>,
     swaps: Mutex<Vec<SwapRecord>>,
     /// Novelty alerts raised by the lineage matcher after model swaps,
@@ -351,6 +348,18 @@ impl Shared {
         darkvec_obs::warn!("serve: {what}: {detail}");
     }
 
+    fn stats(&self) -> DaemonStats {
+        DaemonStats {
+            packets: self.packets.load(Ordering::Relaxed),
+            days: self.days.load(Ordering::Relaxed),
+            retrains: self.retrains.load(Ordering::Relaxed),
+            swaps: self.swap_count.load(Ordering::Relaxed),
+            queries: self.queries.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed)
+                + self.cache.as_ref().map_or(0, |c| c.stats().corrupt),
+        }
+    }
+
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.job_ready.notify_all();
@@ -367,6 +376,7 @@ impl Shared {
             ),
             None => (false, 0, 0, 0, (0, 0)),
         };
+        let stats = self.stats();
         StatusReply {
             ready,
             version,
@@ -374,12 +384,12 @@ impl Shared {
             vocab,
             window_start: window.0,
             window_end: window.1,
-            packets: self.packets.load(Ordering::Relaxed),
-            days: self.days.load(Ordering::Relaxed) as u32,
-            retrains: self.retrains.load(Ordering::Relaxed) as u32,
-            swaps: self.swap_count.load(Ordering::Relaxed) as u32,
-            queries: self.queries.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            packets: stats.packets,
+            days: stats.days as u32,
+            retrains: stats.retrains as u32,
+            swaps: stats.swaps as u32,
+            queries: stats.queries,
+            errors: stats.errors,
         }
     }
 }
@@ -417,6 +427,7 @@ impl Daemon {
         let (tx, rx) = sync_channel::<Vec<Packet>>(cfg.queue_depth.max(1));
         let shared = Arc::new(Shared {
             cfg,
+            cache,
             model: RwLock::new(None),
             swaps: Mutex::new(Vec::new()),
             alerts: Mutex::new(Vec::new()),
@@ -432,24 +443,21 @@ impl Daemon {
             queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
         });
-        let cache = Arc::new(cache);
         let mut threads = Vec::new();
         {
             let shared = Arc::clone(&shared);
-            let cache = Arc::clone(&cache);
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-ingest".into())
-                    .spawn(move || ingest_loop(&shared, &rx, &cache))?,
+                    .spawn(move || ingest_loop(&shared, &rx))?,
             );
         }
         {
             let shared = Arc::clone(&shared);
-            let cache = Arc::clone(&cache);
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-trainer".into())
-                    .spawn(move || trainer_loop(&shared, &cache))?,
+                    .spawn(move || trainer_loop(&shared))?,
             );
         }
         {
@@ -495,15 +503,7 @@ impl Daemon {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> DaemonStats {
-        let s = &self.shared;
-        DaemonStats {
-            packets: s.packets.load(Ordering::Relaxed),
-            days: s.days.load(Ordering::Relaxed),
-            retrains: s.retrains.load(Ordering::Relaxed),
-            swaps: s.swap_count.load(Ordering::Relaxed),
-            queries: s.queries.load(Ordering::Relaxed),
-            errors: s.errors.load(Ordering::Relaxed),
-        }
+        self.shared.stats()
     }
 
     /// True once a shutdown was requested (API call or protocol
@@ -557,7 +557,7 @@ impl Drop for Daemon {
 }
 
 /// The ingest thread: day buffering, shard building, retrain scheduling.
-fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<ArtifactCache>) {
+fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>) {
     let cfg = &shared.cfg;
     let fingerprint = cfg.cfg.fingerprint();
     let ingest_ns = darkvec_obs::metrics::histogram("serve.ingest_ns");
@@ -592,32 +592,15 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
                 (Arc::new(map), hash)
             })
             .clone();
-        let day_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("corpus")
-                .write_str(&fingerprint)
-                .write_u64(svc_hash)
-                .write_u64(day)
-                .write_u64(hash_packets(day_trace.day_slice(day)));
-            h.finish()
-        };
-        let corpus = cache
-            .as_ref()
-            .and_then(|c| c.load("corpus", day_key))
-            .and_then(|raw| match corpus_from_bytes(&raw[..]) {
-                Ok(corpus) => Some(corpus),
-                Err(e) => {
-                    shared.fault("corrupt cached corpus shard", &e);
-                    None
-                }
-            })
-            .unwrap_or_else(|| {
-                let built = build_day_corpus(&day_trace, day, &svc, cfg.cfg.dt);
-                if let Some(c) = cache {
-                    let _ = c.store("corpus", day_key, &corpus_to_bytes(&built));
-                }
-                built
-            });
+        let day_key = day_key(&fingerprint, svc_hash, day, day_trace.day_slice(day));
+        let corpus = crate::shard::day_corpus(
+            &day_trace,
+            day,
+            &svc,
+            cfg.cfg.dt,
+            day_key,
+            shared.cache.as_ref(),
+        );
         let mut mirai = HashSet::new();
         let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
         for p in day_trace.packets() {
@@ -660,8 +643,7 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
         }
         *last = Some(bounds);
         let job = TrainJob {
-            start_day: bounds.0,
-            end_day: bounds.1,
+            window: bounds,
             shards: window,
             services: svc,
             services_hash: svc_hash,
@@ -729,16 +711,18 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
     }
 }
 
-/// The trainer thread: consumes the latest scheduled window, trains
-/// (cache-assisted, warm-started), and swaps the serving model.
-fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
+/// The trainer thread: consumes the latest scheduled window, runs the
+/// [`WindowStep`]'s train half, swaps the serving model, then runs the
+/// step's cluster half for lineage.
+fn trainer_loop(shared: &Shared) {
     let cfg = &shared.cfg;
-    let fingerprint = cfg.cfg.fingerprint();
-    let config_hash = cfg.cfg.fingerprint_hash();
-    let mut train_cfg = cfg.cfg.w2v.clone();
-    train_cfg.min_count = cfg.cfg.min_packets.max(cfg.cfg.w2v.min_count);
-    train_cfg.threads = cfg.threads;
-    let mut prior: Option<(u64, TrainedModel)> = None;
+    let step = WindowStep::new(
+        &cfg.cfg,
+        cfg.warm_epochs,
+        cfg.threads,
+        shared.cache.as_ref(),
+    );
+    let mut prior: Option<(u64, Arc<ServingModel>)> = None;
     let mut version = 0u64;
     // Cluster lineage across retrains is trainer-local state: windows
     // arrive strictly in order here, which is the tracker's contract.
@@ -765,12 +749,9 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
         shared.training.store(true, Ordering::SeqCst);
         let started = Instant::now();
 
-        // Window corpus + label/centroid material from the shards. The
-        // corpus concatenation and vocabulary counting fan out across
-        // `shard_threads` (bit-identical to a serial merge).
+        // Window corpus + label/centroid material from the shards.
         let window: Vec<&[Vec<Ipv4>]> = job.shards.iter().map(|s| s.corpus.as_slice()).collect();
-        let merged = crate::shard::merge_window(&window, cfg.shard_threads);
-        let corpus = &merged.corpus;
+        let merged = crate::shard::merge_window(&window, 0);
         let mut mirai: HashSet<Ipv4> = HashSet::new();
         let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
         for shard in &job.shards {
@@ -785,76 +766,27 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
                 }
             }
         }
-        // Model key: chained exactly like the incremental runner, so a
-        // serve daemon resumes from artifacts a batch run produced.
-        // Holding the warm-start prior as one `Option` binding (instead
-        // of a `warm` flag plus `prior.expect(..)`) keeps this path
-        // panic-free: there is no "warm implies prior" invariant to
-        // assert, the borrow *is* the invariant.
-        let warm_prior = if cfg.warm_epochs > 0 {
-            prior.as_ref()
-        } else {
-            None
-        };
-        let warm = warm_prior.is_some();
-        let model_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("model")
-                .write_str(&fingerprint)
-                .write_u64(job.services_hash);
-            for shard in &job.shards {
-                h.write_u64(shard.day_key);
-            }
-            if let Some((prior_key, _)) = warm_prior {
-                h.write_str("warm")
-                    .write_u64(cfg.warm_epochs as u64)
-                    .write_u64(*prior_key);
-            } else {
-                h.write_str("cold");
-            }
-            h.finish()
-        };
-
-        let cached = cache
-            .as_ref()
-            .and_then(|c| c.load("model", model_key))
-            .and_then(|raw| match TrainedModel::from_bytes(&raw[..]) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    shared.fault("corrupt cached model artifact", &e);
-                    None
-                }
-            });
-        let from_cache = cached.is_some();
-        let trained = cached.unwrap_or_else(|| {
-            let stats = corpus_stats(corpus);
-            let skipgrams = count_skipgrams(corpus, cfg.cfg.w2v.window);
-            let vocab = merged.vocab(train_cfg.min_count);
-            let (embedding, train_stats) = if let Some((_, prior_model)) = warm_prior {
-                let mut warm_cfg = train_cfg.clone();
-                warm_cfg.epochs = cfg.warm_epochs;
-                train_prepared(corpus, &warm_cfg, vocab, Some(&prior_model.embedding))
-            } else {
-                train_prepared(corpus, &train_cfg, vocab, None)
-            };
-            let model = TrainedModel {
-                embedding,
-                services: (*job.services).clone(),
-                corpus: stats,
-                skipgrams,
-                train: train_stats,
-                config_hash,
-            };
-            if let Some(c) = cache {
-                let _ = c.store("model", model_key, &model.to_bytes());
-            }
-            model
-        });
+        let day_keys: Vec<u64> = job.shards.iter().map(|s| s.day_key).collect();
+        let DayOutcome {
+            model: trained,
+            model_key,
+            warm,
+            from_cache,
+            ..
+        } = step.train(
+            job.window,
+            &job.services,
+            job.services_hash,
+            &day_keys,
+            &merged,
+            prior.as_ref().map(|(key, served)| (*key, &served.model)),
+        );
+        drop(merged);
 
         if trained.embedding.is_empty() {
             shared.fault(
                 "retrain produced an empty embedding",
-                &format!("window {}..={}", job.start_day, job.end_day),
+                &format!("window {}..={}", job.window.0, job.window.1),
             );
             shared.training.store(false, Ordering::SeqCst);
             continue;
@@ -880,7 +812,7 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
         let serving = Arc::new(ServingModel {
             version,
             checksum,
-            window: (job.start_day, job.end_day),
+            window: job.window,
             model: trained,
             normed,
             index,
@@ -894,7 +826,7 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
             version,
             checksum,
             vocab: n,
-            window: (job.start_day, job.end_day),
+            window: job.window,
         });
         *shared.model_write() = Some(Arc::clone(&serving));
         shared.swap_count.fetch_add(1, Ordering::Relaxed);
@@ -906,8 +838,8 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
         darkvec_obs::metrics::histogram("serve.retrain_ns").record_duration(started.elapsed());
         darkvec_obs::info!(
             "serve: model v{version} live — window {}..={}, vocab {}, {} ({:.2}s)",
-            job.start_day,
-            job.end_day,
+            job.window.0,
+            job.window.1,
             n,
             if from_cache {
                 "cached"
@@ -921,9 +853,16 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
         // Lineage: match this window's clusters against the tracked
         // lineages and publish any novelty alerts before the daemon
         // reports itself idle again.
-        lineage_step(shared, &mut lineage, &job, &serving, &mirai, &svc_counts);
-        let prior_model = serving.model.clone();
-        prior = Some((model_key, prior_model));
+        lineage_step(
+            shared,
+            &step,
+            &mut lineage,
+            &job,
+            (&serving, model_key),
+            &mirai,
+            &svc_counts,
+        );
+        prior = Some((model_key, serving));
         shared.training.store(false, Ordering::SeqCst);
         darkvec_obs::metrics::record_sample();
     }
@@ -940,16 +879,18 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
 /// sparser "irregular".
 fn lineage_step(
     shared: &Shared,
+    step: &WindowStep<'_>,
     lineage: &mut LineageTracker,
     job: &TrainJob,
-    serving: &ServingModel,
+    (serving, model_key): (&ServingModel, u64),
     mirai: &HashSet<Ipv4>,
     svc_counts: &HashMap<Ipv4, HashMap<ServiceId, u64>>,
 ) {
     let started = Instant::now();
     let cfg = &shared.cfg;
-    let clustering = cluster_embedding(
-        &serving.model.embedding,
+    let clustering = step.cluster(
+        &serving.model,
+        model_key,
         &ClusterConfig {
             k: 3,
             seed: cfg.cfg.w2v.seed,
@@ -957,91 +898,68 @@ fn lineage_step(
             backend: cfg.backend.clone(),
         },
     );
-    let dim = serving.normed.dim();
-    let mut members: Vec<Vec<Ipv4>> = vec![Vec::new(); clustering.clusters];
-    let mut centroids = vec![vec![0.0f32; dim]; clustering.clusters];
-    for (row, &c) in clustering.assignment.iter().enumerate() {
-        // lint: cast-ok(row indexes the embedding vocabulary, which is bounded well below u32::MAX)
-        members[c as usize].push(*serving.model.embedding.vocab().word(row as u32));
-        for (s, &x) in centroids[c as usize]
-            .iter_mut()
-            .zip(serving.normed.row(row))
-        {
-            *s += x;
-        }
-    }
     let names = job.services.names();
-    let observations: Vec<ClusterObservation> = members
-        .iter()
-        .enumerate()
-        .map(|(c, group)| {
-            // Dominant label from the fingerprint layer: the only ground
-            // truth the daemon has is the Mirai bit.
-            let hits = group.iter().filter(|ip| mirai.contains(ip)).count();
-            let share = hits as f64 / group.len().max(1) as f64;
-            let label = (hits > 0).then(|| ("mirai".to_string(), share));
-            // Top services by packet mass across the window.
-            let mut per_svc: HashMap<ServiceId, u64> = HashMap::new();
-            // lint: nondeterministic-ok(integer sums into a map are commutative; sorted before use below)
-            for ip in group {
-                if let Some(counts) = svc_counts.get(ip) {
-                    for (&svc, &n) in counts {
-                        *per_svc.entry(svc).or_insert(0) += n;
-                    }
+    let mut observations =
+        ClusterObservation::from_clustering(&clustering, &serving.model.embedding);
+    for obs in &mut observations {
+        let group = &obs.members;
+        // Dominant label from the fingerprint layer: the only ground
+        // truth the daemon has is the Mirai bit.
+        let hits = group.iter().filter(|ip| mirai.contains(ip)).count();
+        let share = hits as f64 / group.len().max(1) as f64;
+        obs.label = (hits > 0).then(|| ("mirai".to_string(), share));
+        // Top services by packet mass across the window.
+        let mut per_svc: HashMap<ServiceId, u64> = HashMap::new();
+        // lint: nondeterministic-ok(integer sums into a map are commutative; sorted before use below)
+        for ip in group {
+            if let Some(counts) = svc_counts.get(ip) {
+                for (&svc, &n) in counts {
+                    *per_svc.entry(svc).or_insert(0) += n;
                 }
             }
-            // lint: nondeterministic-ok(integer sum is commutative)
-            let total: u64 = per_svc.values().sum();
-            // lint: nondeterministic-ok(collected then fully sorted on the next line)
-            let mut ranked: Vec<(ServiceId, u64)> = per_svc.into_iter().collect();
-            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            ranked.truncate(MAX_ALERT_PORTS);
-            let top_ports: Vec<(String, f64)> = ranked
-                .into_iter()
-                .map(|(svc, n)| {
-                    let name = names
-                        .get(svc)
-                        .cloned()
-                        .unwrap_or_else(|| format!("svc-{svc}"));
-                    (name, n as f64 / total.max(1) as f64)
-                })
-                .collect();
-            // Presence-based regularity over the window's day shards.
-            let slots = group.len() * job.shards.len();
-            let present: usize = job
-                .shards
-                .iter()
-                .map(|s| {
-                    group
-                        .iter()
-                        .filter(|ip| s.svc_counts.contains_key(ip))
-                        .count()
-                })
-                .sum();
-            let regularity = if slots > 0 && present * 5 >= slots * 4 {
-                crate::temporal::Regularity::Daily.name()
-            } else {
-                crate::temporal::Regularity::Irregular.name()
-            };
-            ClusterObservation {
-                // lint: cast-ok(cluster count is bounded by the vocabulary size, far below u32::MAX)
-                cluster: c as u32,
-                members: group.clone(),
-                centroid: centroids[c].clone(),
-                label,
-                top_ports,
-                regularity: regularity.to_string(),
-            }
-        })
-        .collect();
+        }
+        // lint: nondeterministic-ok(integer sum is commutative)
+        let total: u64 = per_svc.values().sum();
+        // lint: nondeterministic-ok(collected then fully sorted on the next line)
+        let mut ranked: Vec<(ServiceId, u64)> = per_svc.into_iter().collect();
+        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(MAX_ALERT_PORTS);
+        obs.top_ports = ranked
+            .into_iter()
+            .map(|(svc, n)| {
+                let name = names
+                    .get(svc)
+                    .cloned()
+                    .unwrap_or_else(|| format!("svc-{svc}"));
+                (name, n as f64 / total.max(1) as f64)
+            })
+            .collect();
+        // Presence-based regularity over the window's day shards.
+        let slots = group.len() * job.shards.len();
+        let present: usize = job
+            .shards
+            .iter()
+            .map(|s| {
+                group
+                    .iter()
+                    .filter(|ip| s.svc_counts.contains_key(ip))
+                    .count()
+            })
+            .sum();
+        let regularity = if slots > 0 && present * 5 >= slots * 4 {
+            crate::temporal::Regularity::Daily
+        } else {
+            crate::temporal::Regularity::Irregular
+        };
+        obs.regularity = regularity.name().to_string();
+    }
 
     // Freshness presence: every sender the window's shards saw, even the
     // ones below the clustering activity filter — a sporadic sender that
     // finally clears the filter must not read as a fresh campaign.
     // lint: nondeterministic-ok(keys feed a set-like freshness ledger; insertion order cannot reach any output)
     let present: Vec<Ipv4> = svc_counts.keys().copied().collect();
-    let alerts =
-        lineage.observe_with_presence((job.start_day, job.end_day), &observations, &present);
+    let alerts = lineage.observe_with_presence(job.window, &observations, &present);
     darkvec_obs::metrics::counter("lineage.windows").add(1);
     darkvec_obs::metrics::gauge("lineage.tracked").set(lineage.records().len() as f64);
     darkvec_obs::metrics::histogram("lineage.match_ns").record_duration(started.elapsed());

@@ -1,13 +1,13 @@
 //! Parallel shard-merge corpus build.
 //!
-//! The incremental pipeline and the serve daemon both assemble a window
-//! corpus out of per-day shards ([`build_day_corpus`]); at paper scale
-//! (30 days × millions of packets) the serial day loop dominates every
-//! cold step. This module fans shard construction across worker threads
-//! and merges the results **deterministically**:
+//! The sliding-window step ([`crate::incremental::WindowStep`]) trains on
+//! a window corpus assembled out of per-day shards, each from
+//! [`day_corpus`] (the [`ArtifactCache`], else [`build_day_corpus`]). At
+//! paper scale the serial day loop dominates every cold step, so the
+//! shards are built on worker threads and merged **deterministically**:
 //!
-//! * each worker builds (or loads from the [`ArtifactCache`]) whole day
-//!   shards and counts its tokens locally — no shared mutable state;
+//! * each worker builds (or loads) whole day shards and counts its tokens
+//!   locally — no shared mutable state;
 //! * the merged corpus is the day-order concatenation of the shard
 //!   corpora, which is sentence-for-sentence what the serial loop
 //!   produces (ΔT divides a day, so no window straddles a boundary);
@@ -16,13 +16,17 @@
 //!   `Vocab::build` derives from the concatenated corpus, because both
 //!   rank by `(count desc, word asc)`.
 //!
-//! The result is bit-identical to the serial path for **any** thread
-//! count (asserted by the tests below and gated in CI by `xp scale`),
-//! so `--shard-threads` is pure wall-clock and never enters cache keys.
+//! Every window is merged by [`merge_shards`]; the serve daemon, which
+//! keeps its day shards across windows, copies them in through
+//! [`merge_window`]. The result is bit-identical to the serial path for
+//! **any** thread count (asserted by the tests below and gated in CI by
+//! `xp scale`), so the window step uses every core and the thread count
+//! never enters cache keys.
 
-use crate::cache::ArtifactCache;
+use crate::cache::{load_or_build, ArtifactCache};
 use crate::corpus::{build_day_corpus, corpus_from_bytes, corpus_to_bytes};
 use crate::services::ServiceMap;
+use darkvec_ml::par::for_each_chunk;
 use darkvec_types::{Ipv4, Trace};
 use darkvec_w2v::Vocab;
 use std::collections::{BTreeMap, HashMap};
@@ -30,8 +34,6 @@ use std::collections::{BTreeMap, HashMap};
 /// One day's corpus plus its locally-counted vocabulary.
 #[derive(Clone, Debug)]
 pub struct CorpusShard {
-    /// Zero-based capture day.
-    pub day: u64,
     /// The day's sentences, in [`build_day_corpus`] order.
     pub corpus: Vec<Vec<Ipv4>>,
     /// Token occurrences within this shard.
@@ -74,25 +76,33 @@ pub fn count_tokens(corpus: &[Vec<Ipv4>]) -> HashMap<Ipv4, u64> {
     counts
 }
 
-/// Resolves a thread-count knob: `0` means one per available core, and
-/// the count never exceeds the number of work items.
-fn resolve_threads(threads: usize, work: usize) -> usize {
-    let t = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    };
-    t.clamp(1, work.max(1))
+/// One day's corpus shard under its cache key `key`
+/// ([`crate::incremental::day_key`]): loaded from `cache` when present and
+/// sound, else built from `trace` and stored.
+pub fn day_corpus(
+    trace: &Trace,
+    day: u64,
+    services: &ServiceMap,
+    dt: u64,
+    key: u64,
+    cache: Option<&ArtifactCache>,
+) -> Vec<Vec<Ipv4>> {
+    load_or_build(
+        cache,
+        "corpus",
+        key,
+        |raw| corpus_from_bytes(raw),
+        |corpus| corpus_to_bytes(corpus),
+        || build_day_corpus(trace, day, services, dt),
+    )
+    .0
 }
 
 /// Builds the day shards `first_day..=last_day` in parallel.
 ///
-/// `keys[i]` is the cache key of day `first_day + i` (the same
-/// content-addressed construction the serial loop uses); with
-/// `cache: Some(..)` each worker loads hits and stores its freshly built
-/// shards. Results come back in day order, independent of `threads`.
+/// `keys[i]` is the cache key of day `first_day + i`; each worker gets
+/// its days through [`day_corpus`]. Results come back in day order,
+/// independent of `threads` (`0` = one per core).
 ///
 /// # Panics
 /// Panics if `keys.len()` does not cover the day range, or as
@@ -111,40 +121,15 @@ pub fn build_shards(
     let n_days = (last_day - first_day + 1) as usize;
     assert_eq!(keys.len(), n_days, "one cache key per day");
     let _span = darkvec_obs::span!("shard.build");
-    let threads = resolve_threads(threads, n_days);
-
     let mut shards: Vec<Option<CorpusShard>> = vec![None; n_days];
-    let chunk = n_days.div_ceil(threads);
-    let ctx = darkvec_obs::span::context();
-    crossbeam::scope(|scope| {
-        for (c, out) in shards.chunks_mut(chunk).enumerate() {
-            let base = c * chunk;
-            scope.spawn(move |_| {
-                let _worker = darkvec_obs::span!("shard.build.worker", ctx);
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let day = first_day + (base + off) as u64;
-                    let key = keys[base + off];
-                    let corpus = cache
-                        .and_then(|c| c.load("corpus", key))
-                        .and_then(|raw| corpus_from_bytes(&raw[..]).ok())
-                        .unwrap_or_else(|| {
-                            let built = build_day_corpus(trace, day, services, dt);
-                            if let Some(c) = cache {
-                                let _ = c.store("corpus", key, &corpus_to_bytes(&built));
-                            }
-                            built
-                        });
-                    let counts = count_tokens(&corpus);
-                    *slot = Some(CorpusShard {
-                        day,
-                        corpus,
-                        counts,
-                    });
-                }
-            });
+    for_each_chunk(&mut shards, threads, "shard.build.worker", |base, out| {
+        for (off, slot) in out.iter_mut().enumerate() {
+            let day = first_day + (base + off) as u64;
+            let corpus = day_corpus(trace, day, services, dt, keys[base + off], cache);
+            let counts = count_tokens(&corpus);
+            *slot = Some(CorpusShard { corpus, counts });
         }
-    })
-    .expect("shard build worker panicked");
+    });
     darkvec_obs::metrics::counter("shard.built").add(n_days as u64);
     shards
         .into_iter()
@@ -171,31 +156,25 @@ pub fn merge_shards(shards: Vec<CorpusShard>) -> MergedCorpus {
     }
 }
 
-/// Merges borrowed shard corpora (the serve trainer's window, whose
-/// shards stay alive in the ingest thread): sentences are cloned and
-/// counted in parallel per shard, then concatenated in the order given.
+/// Merges borrowed shard corpora (the serve daemon's window, whose day
+/// shards outlive any one window): sentences are cloned and counted in
+/// parallel per shard (`threads`, `0` = one per core), then handed to
+/// [`merge_shards`].
 pub fn merge_window(shard_corpora: &[&[Vec<Ipv4>]], threads: usize) -> MergedCorpus {
     let _span = darkvec_obs::span!("shard.merge_window");
-    let threads = resolve_threads(threads, shard_corpora.len());
     let mut built: Vec<Option<CorpusShard>> = vec![None; shard_corpora.len()];
-    let chunk = shard_corpora.len().div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
-        for (c, out) in built.chunks_mut(chunk).enumerate() {
-            let base = c * chunk;
-            scope.spawn(move |_| {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let corpus = shard_corpora[base + off].to_vec();
-                    let counts = count_tokens(&corpus);
-                    *slot = Some(CorpusShard {
-                        day: (base + off) as u64,
-                        corpus,
-                        counts,
-                    });
-                }
-            });
-        }
-    })
-    .expect("window merge worker panicked");
+    for_each_chunk(
+        &mut built,
+        threads,
+        "shard.merge_window.worker",
+        |base, out| {
+            for (off, slot) in out.iter_mut().enumerate() {
+                let corpus = shard_corpora[base + off].to_vec();
+                let counts = count_tokens(&corpus);
+                *slot = Some(CorpusShard { corpus, counts });
+            }
+        },
+    );
     merge_shards(
         built
             .into_iter()
@@ -234,11 +213,7 @@ mod tests {
             .map(|day| {
                 let corpus = build_day_corpus(trace, day, services, HOUR);
                 let counts = count_tokens(&corpus);
-                CorpusShard {
-                    day,
-                    corpus,
-                    counts,
-                }
+                CorpusShard { corpus, counts }
             })
             .collect()
     }

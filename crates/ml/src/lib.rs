@@ -29,7 +29,7 @@ pub mod hac;
 pub mod kmeans;
 pub mod knn;
 pub mod metrics;
-mod par;
+pub mod par;
 pub mod quant;
 pub mod vectors;
 

@@ -1,10 +1,11 @@
-//! Chunked fan-out shared by every neighbour scan: the exact and int8
-//! brute-force passes and the HNSW build and query batches all split
-//! their output rows into contiguous chunks, one per worker.
+//! Chunked fan-out shared by every neighbour scan — the exact and int8
+//! brute-force passes and the HNSW build and query batches — and by the
+//! day-shard corpus build: each splits its output into contiguous
+//! chunks, one per worker.
 
 /// Resolves a `threads` setting (0 = one per available core) against
 /// `work` items: never more workers than items, never fewer than one.
-pub(crate) fn resolve_threads(threads: usize, work: usize) -> usize {
+pub fn resolve_threads(threads: usize, work: usize) -> usize {
     if threads > 0 {
         threads
     } else {
@@ -29,7 +30,7 @@ pub(crate) fn resolve_threads(threads: usize, work: usize) -> usize {
 ///
 /// # Panics
 /// Re-raises a panic from any worker.
-pub(crate) fn for_each_chunk<T, F>(out: &mut [T], threads: usize, span_name: &'static str, scan: F)
+pub fn for_each_chunk<T, F>(out: &mut [T], threads: usize, span_name: &'static str, scan: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -53,7 +54,7 @@ where
             });
         }
     })
-    .expect("neighbour scan worker panicked");
+    .expect("chunk worker panicked");
 }
 
 #[cfg(test)]

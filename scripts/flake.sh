@@ -21,13 +21,26 @@ i=1
 while [ "$i" -le "$n" ]; do
     cargo test --offline --no-fail-fast >"$tmp/log" 2>&1 || true
     awk '
-        /^ *Running / { bin = ($2 == "unittests") ? $3 : $2; next }
-        /^ *Doc-tests / { bin = "doc-tests " $2; next }
+        /^ *Running / { bin = ($2 == "unittests") ? $3 : $2; pending = ""; next }
+        /^ *Doc-tests / { bin = "doc-tests " $2; pending = ""; next }
         /^test .* \.\.\. / {
             name = $0
             sub(/^test /, "", name)
             sub(/ \.\.\. .*$/, "", name)
-            print bin "::" name "\t" $NF
+            result = substr($0, index($0, " ... ") + 5)
+            pending = ""
+            if (match(result, /^(ok|FAILED|ignored)/))
+                print bin "::" name "\t" substr(result, 1, RLENGTH)
+            else
+                pending = name
+            next
+        }
+        # Stderr of threads a test started (a daemon logging faults) can
+        # land between "test NAME ... " and the result, which then starts
+        # a later line.
+        pending != "" && match($0, /^(ok|FAILED|ignored)/) {
+            print bin "::" pending "\t" substr($0, 1, RLENGTH)
+            pending = ""
         }
     ' "$tmp/log" >"$tmp/run$i"
     echo "run $i/$n: $(grep -c 'ok$' "$tmp/run$i") ok, $(grep -c 'FAILED$' "$tmp/run$i") failed" >&2

@@ -47,7 +47,6 @@ fn single_window_reproduces_one_shot_pipeline_bit_for_bit() {
         &IncrementalOptions {
             warm_epochs: 3,
             cluster_k: Some(3),
-            shard_threads: 0,
         },
         None,
     );
@@ -92,7 +91,6 @@ fn cache_is_deterministic_and_second_run_is_all_hits() {
     let opts = IncrementalOptions {
         warm_epochs: 2,
         cluster_k: Some(3),
-        shard_threads: 0,
     };
 
     let dir1 = cache_dir("det1");
@@ -175,7 +173,6 @@ fn trailing_days_get_a_final_clamped_window() {
     let opts = IncrementalOptions {
         warm_epochs: 0,
         cluster_k: None,
-        shard_threads: 0,
     };
     // (days, stride, total) → expected window end days. The first entry of
     // each expectation list matches the pre-fix schedule; combos whose
@@ -227,7 +224,6 @@ fn warm_start_resumes_evicts_and_keys_chain() {
         &IncrementalOptions {
             warm_epochs: 2,
             cluster_k: None,
-            shard_threads: 0,
         },
         None,
     );
@@ -237,7 +233,6 @@ fn warm_start_resumes_evicts_and_keys_chain() {
         &IncrementalOptions {
             warm_epochs: 0,
             cluster_k: None,
-            shard_threads: 0,
         },
         None,
     );
@@ -279,4 +274,65 @@ fn warm_start_resumes_evicts_and_keys_chain() {
             assert!(step.model.embedding.get(ip).is_some());
         }
     }
+}
+
+/// Garbage in every cached corpus, model and kNN file costs a rebuild,
+/// never a wrong result: the rerun reproduces the first run's embeddings
+/// and clusters, counts one corrupt load per damaged file, and leaves
+/// sound artifacts behind.
+#[test]
+fn corrupt_cache_is_rebuilt_counted_and_reproduces_the_run() {
+    let sim = simulate(&SimConfig::tiny(SEED));
+    let mut cfg = test_cfg();
+    cfg.window = SlidingWindow { days: 4, stride: 2 };
+    let opts = IncrementalOptions {
+        warm_epochs: 2,
+        cluster_k: Some(3),
+    };
+    let dir = cache_dir("corrupt");
+    let first = run_sliding(
+        &sim.trace,
+        &cfg,
+        &opts,
+        Some(&ArtifactCache::new(&dir).unwrap()),
+    );
+
+    let mut corrupted = 0u64;
+    for kind in ["corpus", "model", "knn"] {
+        let mut in_kind = 0;
+        for entry in std::fs::read_dir(dir.join(kind)).unwrap() {
+            std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
+            in_kind += 1;
+        }
+        assert!(in_kind > 0, "the first run cached no {kind} artifact");
+        corrupted += in_kind;
+    }
+
+    let cache = ArtifactCache::new(&dir).unwrap();
+    let rebuilt = run_sliding(&sim.trace, &cfg, &opts, Some(&cache));
+    assert_eq!(
+        cache.stats().corrupt,
+        corrupted,
+        "every damaged file is loaded once, counted, and overwritten"
+    );
+    assert_eq!(first.len(), rebuilt.len());
+    for (a, b) in first.iter().zip(&rebuilt) {
+        assert!(
+            !b.from_cache,
+            "a corrupt model must not count as a cache hit"
+        );
+        assert_eq!(a.model_key, b.model_key);
+        assert_eq!(a.model.embedding.vectors(), b.model.embedding.vectors());
+        assert_eq!(
+            a.clustering.as_ref().map(|c| &c.assignment),
+            b.clustering.as_ref().map(|c| &c.assignment)
+        );
+    }
+
+    // The rebuild stored sound artifacts over the garbage.
+    let cache = ArtifactCache::new(&dir).unwrap();
+    run_sliding(&sim.trace, &cfg, &opts, Some(&cache));
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.stores, stats.corrupt), (0, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,9 @@
 //! artifacts, query bursts during retrain — asserting the daemon logs,
 //! counts and keeps serving through all of it.
 
+use darkvec::cache::ArtifactCache;
 use darkvec::config::{DarkVecConfig, SlidingWindow};
+use darkvec::incremental::{run_sliding, IncrementalOptions};
 use darkvec::protocol::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME,
 };
@@ -306,6 +308,59 @@ fn corrupt_cached_artifacts_at_rollover_are_rebuilt_in_place() {
         .unwrap()
         .unwrap();
     assert_eq!(reply.version, model.version);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// The daemon and the batch runner run one window step, so they share
+/// cached artifacts: after a daemon has trained every window of a trace,
+/// `run_sliding` over the same trace and cache is served entirely from
+/// disk and ends on the daemon's final model, bit for bit.
+#[test]
+fn batch_run_after_the_daemon_is_served_from_its_cache() {
+    let cache_dir =
+        std::env::temp_dir().join(format!("darkvec-serve-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let trace = fixture_trace(4, 23);
+    assert_eq!(trace.days(), 4);
+
+    let mut cfg = tiny_serve_cfg();
+    cfg.cache_dir = Some(cache_dir.clone());
+    let (daemon, tx) = start(cfg.clone());
+    // Day by day: day d + 1's first packet seals day d, and each window's
+    // retrain finishes before the next seal, so no retrain is coalesced.
+    for day in 0..4 {
+        tx.send(trace.day_slice(day).to_vec()).unwrap();
+        if day >= 2 {
+            assert!(daemon.wait_version(day - 1, Duration::from_secs(120)));
+            assert!(daemon.wait_idle(Duration::from_secs(120)));
+        }
+    }
+    drop(tx);
+    settle(&daemon);
+    let windows: Vec<(u64, u64)> = daemon.swap_history().iter().map(|s| s.window).collect();
+    assert_eq!(windows, vec![(0, 1), (1, 2), (2, 3)]);
+    let served = daemon.current_model().expect("final model");
+
+    let cache = ArtifactCache::new(&cache_dir).unwrap();
+    let steps = run_sliding(
+        &trace,
+        &cfg.cfg,
+        &IncrementalOptions {
+            warm_epochs: cfg.warm_epochs,
+            cluster_k: None,
+        },
+        Some(&cache),
+    );
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.stores), (0, 0), "{stats:?}");
+    let ends: Vec<(u64, u64)> = steps.iter().map(|s| (s.start_day, s.end_day)).collect();
+    assert_eq!(ends, windows);
+    let last = steps.last().unwrap();
+    assert!(last.from_cache && last.warm);
+    assert_eq!(
+        last.model.embedding.vectors(),
+        served.model.embedding.vectors()
+    );
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
